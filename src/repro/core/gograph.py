@@ -15,10 +15,10 @@ Phases (§IV-A):
    (Algorithm 1 lines 21–29, made robust to negative vals — DESIGN.md §4).
 4. Insert high-degree then isolated vertices into the global order.
 
-Two entry points: :func:`gograph_order` (pure local, used by the big
-experiment sweeps) and :func:`gograph_positions_spark` (the conquer
-phase runs distributed via ``groupBy(part).applyInPandas``; tests assert
-it returns identical positions).
+Two entry points share one pipeline and differ only in where the conquer
+phase runs: :func:`gograph_order` (pure local, used by the big experiment
+sweeps) and :func:`gograph_positions_spark` (distributed via
+``groupBy(part).applyInPandas``; tests assert identical positions).
 """
 from __future__ import annotations
 
@@ -204,20 +204,19 @@ def _vals_to_positions(n: int, vals: dict[int, float]) -> np.ndarray:
     return pos
 
 
-def gograph_order(
+def _pipeline(
     g: LocalGraph,
-    *,
-    partitioner: str = "rabbit",
-    hd_frac: float = HD_FRAC_DEFAULT,
-    target_size: int = 256,
-    seed: int = 0,
-    partitioned: bool = True,
+    conquer,
+    partitioner: str,
+    hd_frac: float,
+    target_size: int,
+    seed: int,
+    partitioned: bool,
 ) -> np.ndarray:
-    """GoGraph positions (vid → ordinal), fully local.
+    """Algorithm 1: split → partition → conquer → combine → insert.
 
-    ``partitioned=False`` is the Fig 10 ablation: the divide phase is
-    skipped entirely — the whole core graph is one subgraph and
-    candidates are inserted in ID order (no subgraph-local BFS).
+    ``conquer(part_vids, part_edges)`` returns vid → val for every core
+    vertex; it is the one step that may run off the driver.
     """
     hd_mask, iso_mask, core_src, core_dst = _split_graph(g, hd_frac)
     core_vids = np.flatnonzero(~hd_mask & ~iso_mask)
@@ -233,11 +232,39 @@ def gograph_order(
         part_of, part_edges, part_vids = _partition_core(
             g, core_vids, core_src, core_dst, partitioner, target_size, seed
         )
-        for p, vids in part_vids.items():
-            vals.update(reorder_subgraph(vids, part_edges.get(p, [])))
+        vals = conquer(part_vids, part_edges)
         vals = _order_supers_and_offsets(part_of, vals, core_src, core_dst)
     vals = _insert_remaining(g, vals, hd_mask, iso_mask)
     return _vals_to_positions(g.n, vals)
+
+
+def _conquer_local(
+    part_vids: dict[int, list[int]], part_edges: dict[int, list[tuple[int, int, float]]]
+) -> dict[int, float]:
+    vals: dict[int, float] = {}
+    for p, vids in part_vids.items():
+        vals.update(reorder_subgraph(vids, part_edges.get(p, [])))
+    return vals
+
+
+def gograph_order(
+    g: LocalGraph,
+    *,
+    partitioner: str = "rabbit",
+    hd_frac: float = HD_FRAC_DEFAULT,
+    target_size: int = 256,
+    seed: int = 0,
+    partitioned: bool = True,
+) -> np.ndarray:
+    """GoGraph positions (vid → ordinal), fully local.
+
+    ``partitioned=False`` is the Fig 10 ablation: the divide phase is
+    skipped entirely — the whole core graph is one subgraph and
+    candidates are inserted in ID order (no subgraph-local BFS).
+    """
+    return _pipeline(
+        g, _conquer_local, partitioner, hd_frac, target_size, seed, partitioned
+    )
 
 
 def _partition_core(
@@ -288,16 +315,8 @@ def gograph_positions_spark(
     """
     from repro.graphs.local import to_local
 
-    g = to_local(edges_df, n=n, name="spark-in")
-    hd_mask, iso_mask, core_src, core_dst = _split_graph(g, hd_frac)
-    core_vids = np.flatnonzero(~hd_mask & ~iso_mask)
-
-    vals: dict[int, float] = {}
-    if len(core_vids):
-        part_of, part_edges, part_vids = _partition_core(
-            g, core_vids, core_src, core_dst, partitioner, target_size, seed
-        )
-        # conquer phase on the cluster: one pandas group per subgraph
+    def _conquer_spark(part_vids, part_edges) -> dict[int, float]:
+        # one pandas group per subgraph
         rows = []
         for p, vids in part_vids.items():
             for v in vids:
@@ -325,10 +344,10 @@ def gograph_positions_spark(
             .applyInPandas(_conquer, "vid long, val double, part long")
             .toPandas()
         )
-        vals = dict(zip(out["vid"].astype(int), out["val"].astype(float)))
-        vals = _order_supers_and_offsets(part_of, vals, core_src, core_dst)
-    vals = _insert_remaining(g, vals, hd_mask, iso_mask)
-    pos = _vals_to_positions(g.n, vals)
+        return dict(zip(out["vid"].astype(int), out["val"].astype(float)))
+
+    g = to_local(edges_df, n=n, name="spark-in")
+    pos = _pipeline(g, _conquer_spark, partitioner, hd_frac, target_size, seed, True)
     return spark.createDataFrame(
         pd.DataFrame({"vid": np.arange(g.n, dtype=np.int64), "pos": pos})
     )

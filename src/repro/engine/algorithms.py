@@ -35,6 +35,7 @@ class Prepared:
     param: np.ndarray  # per-edge parameter aligned with g.src/g.dst
     fixed: dict[int, float]  # vertices whose state is clamped (e.g. PHP source)
     tol: float  # convergence threshold on max |Δx| per round
+    graph: LocalGraph | None = None  # edge arrays ``param`` aligns with, if not g's
 
 
 @dataclass(frozen=True)
@@ -105,17 +106,15 @@ def _cc(g: LocalGraph, _src) -> Prepared:
     src = np.concatenate([g.src, g.dst])
     dst = np.concatenate([g.dst, g.src])
     g2 = LocalGraph(n=g.n, src=src, dst=dst, w=np.zeros(len(src)), name=g.name)
-    p = Prepared(
+    return Prepared(
         kind="min",
         init=np.arange(g.n, dtype=np.float64),
         base=np.zeros(g.n),
         param=np.zeros(2 * g.n_edges),
         fixed={},
         tol=0.0,
+        graph=g2,
     )
-    # stash the symmetrized graph for engines that need matching edges
-    object.__setattr__(p, "graph_override", g2)
-    return p
 
 
 def _sswp(g: LocalGraph, source: int) -> Prepared:
@@ -148,4 +147,4 @@ def make_algo(name: str) -> Algo:
 
 def effective_graph(g: LocalGraph, prep: Prepared) -> LocalGraph:
     """Graph whose edge arrays align with ``prep.param`` (CC symmetrizes)."""
-    return getattr(prep, "graph_override", g)
+    return prep.graph if prep.graph is not None else g

@@ -13,6 +13,10 @@ Semantics:
   with smaller positions contribute this-round values and the rest
   previous-round values — exactly Eq. 2.
 
+:func:`sweep` is that sequential loop, and the only one: the
+``impl="python"`` engine, :func:`per_round_time` and the Spark async
+engine's per-block step all call it.
+
 A round is counted iff its max state change exceeds the algorithm's
 tolerance (the final detection sweep is not counted; DESIGN.md §4).
 """
@@ -52,6 +56,60 @@ def _delta(a: np.ndarray, b: np.ndarray) -> float:
         diff = np.abs(a - b)
     diff[np.isnan(diff)] = 0.0  # inf - inf
     return float(diff.max(initial=0.0))
+
+
+def sweep(kind: str, order, in_adj, x, src, base, fixed) -> None:
+    """One sequential application of F(·) over ``order``, updating ``x`` in place.
+
+    This is the one Eq. 2 loop: vertex v reads in-neighbour u from
+    ``src[u]``, so ``src is x`` lets earlier positions contribute their
+    this-round values (Eq. 2), while a round-start copy gives Eq. 1.
+    ``in_adj[v]`` is [(u, param)], ``base[v]`` the sum-kind additive term,
+    and vertices in ``fixed`` keep their current value. Only ``x[u]`` reads
+    and ``x[v] =`` writes are used, so lists and vid-keyed dicts both work.
+    """
+    inf = float("inf")
+    if kind == "sum":
+        for v in order:
+            if v in fixed:
+                continue
+            acc = base[v]
+            for u, p in in_adj[v]:
+                xu = src[u]
+                if xu != inf:
+                    acc += xu * p
+            x[v] = acc
+    elif kind == "min":
+        for v in order:
+            if v in fixed:
+                continue
+            best = x[v]
+            for u, p in in_adj[v]:
+                cand = src[u] + p
+                if cand < best:
+                    best = cand
+            x[v] = best
+    elif kind == "maxmin":
+        for v in order:
+            if v in fixed:
+                continue
+            best = x[v]
+            for u, p in in_adj[v]:
+                xu = src[u]
+                cand = xu if xu < p else p
+                if cand > best:
+                    best = cand
+            x[v] = best
+    else:
+        raise ValueError(kind)
+
+
+def _in_adj(eg: LocalGraph, prep: Prepared) -> list[list[tuple[int, float]]]:
+    """Per-vertex in-edge lists [(src, param)] in edge-array order."""
+    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(eg.n)]
+    for s, d, p in zip(eg.src.tolist(), eg.dst.tolist(), prep.param.tolist()):
+        in_adj[d].append((s, p))
+    return in_adj
 
 
 def jacobi(
@@ -123,13 +181,8 @@ def gauss_seidel(
     eg = effective_graph(g, prep)
     t0 = time.perf_counter()
     order = np.argsort(positions, kind="stable").tolist()
-    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(eg.n)]
-    for s, d, p in zip(eg.src.tolist(), eg.dst.tolist(), prep.param.tolist()):
-        in_adj[d].append((s, p))
-
-    kind = prep.kind
+    in_adj = _in_adj(eg, prep)
     base = prep.base.tolist()
-    fixed = prep.fixed
     x = prep.init.tolist()
     deltas: list[float] = []
     sums: list[float] = []
@@ -137,40 +190,7 @@ def gauss_seidel(
     converged = False
     for _ in range(max_rounds):
         xp = x.copy()
-        # in-place sweep == Eq. 2 (earlier positions already updated)
-        if kind == "sum":
-            for v in order:
-                if v in fixed:
-                    continue
-                acc = base[v]
-                for u, p in in_adj[v]:
-                    xu = x[u]
-                    if xu != float("inf"):
-                        acc += xu * p
-                x[v] = acc
-        elif kind == "min":
-            for v in order:
-                if v in fixed:
-                    continue
-                best = x[v]
-                for u, p in in_adj[v]:
-                    cand = x[u] + p
-                    if cand < best:
-                        best = cand
-                x[v] = best
-        elif kind == "maxmin":
-            for v in order:
-                if v in fixed:
-                    continue
-                best = x[v]
-                for u, p in in_adj[v]:
-                    xu = x[u]
-                    cand = xu if xu < p else p
-                    if cand > best:
-                        best = cand
-                x[v] = best
-        else:
-            raise ValueError(kind)
+        sweep(prep.kind, order, in_adj, x, x, base, prep.fixed)
         d = _delta(np.asarray(xp), np.asarray(x))
         if d <= prep.tol:
             converged = True
@@ -331,47 +351,13 @@ def per_round_time(
         if positions is not None
         else list(range(eg.n))
     )
-    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(eg.n)]
-    for s, d, p in zip(eg.src.tolist(), eg.dst.tolist(), prep.param.tolist()):
-        in_adj[d].append((s, p))
-    kind = prep.kind
+    in_adj = _in_adj(eg, prep)
     base = prep.base.tolist()
-    fixed = prep.fixed
     x = prep.init.tolist()
     best = float("inf")
     for _ in range(sweeps):
         t0 = time.perf_counter()
-        src_of = x if positions is not None else x.copy()
-        if kind == "sum":
-            for v in order:
-                if v in fixed:
-                    continue
-                acc = base[v]
-                for u, p in in_adj[v]:
-                    xu = src_of[u]
-                    if xu != float("inf"):
-                        acc += xu * p
-                x[v] = acc
-        elif kind == "min":
-            for v in order:
-                if v in fixed:
-                    continue
-                b = x[v]
-                for u, p in in_adj[v]:
-                    cand = src_of[u] + p
-                    if cand < b:
-                        b = cand
-                x[v] = b
-        elif kind == "maxmin":
-            for v in order:
-                if v in fixed:
-                    continue
-                b = x[v]
-                for u, p in in_adj[v]:
-                    xu = src_of[u]
-                    cand = xu if xu < p else p
-                    if cand > b:
-                        b = cand
-                x[v] = b
+        src = x if positions is not None else x.copy()
+        sweep(prep.kind, order, in_adj, x, src, base, prep.fixed)
         best = min(best, time.perf_counter() - t0)
     return best

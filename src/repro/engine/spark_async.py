@@ -3,13 +3,13 @@
 Positions are cut into ``n_blocks`` contiguous blocks. A round sweeps
 blocks in ascending position order; each block's update is a single
 ``applyInPandas`` group that runs the *sequential* in-position sweep
-kernel (:func:`repro.engine.kernels.gs_sweep`) over the block's
-in-edges joined with the *current* global states:
+(:func:`repro.engine.reference.sweep`) over the block's in-edges joined
+with the *current* global states, updating those joined states in place:
 
 * in-neighbors in earlier blocks were already rewritten this round →
   their joined state is the this-round value;
-* in-neighbors later in this block's own sweep are handled by the
-  kernel's ``updated`` dict;
+* in-neighbors earlier in this block's own sweep were just overwritten
+  by it;
 * in-neighbors in later blocks still hold last round's value.
 
 That is exactly Eq. 2 for **any** ``n_blocks`` — block count only sets
@@ -26,8 +26,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.engine.algorithms import effective_graph, make_algo
-from repro.engine.kernels import gs_sweep
-from repro.engine.reference import RunResult
+from repro.engine.reference import RunResult, sweep
 from repro.graphs.local import LocalGraph
 
 
@@ -84,24 +83,17 @@ def run_async_spark(
     def _block_fn(pdf: pd.DataFrame) -> pd.DataFrame:
         verts = pdf[pdf["role"] == 0].sort_values("pos")
         edges = pdf[pdf["role"] == 1]
-        order_vids = verts["vid"].astype(int).tolist()
-        prev_vals = dict(zip(verts["vid"].astype(int), verts["cur_val"].astype(float)))
-        base = dict(zip(verts["vid"].astype(int), verts["base"].astype(float)))
-        fixed = {
-            int(v): float(fv)
-            for v, fv in zip(verts["vid"], verts["fixed"])
-            if not np.isnan(fv)
-        }
-        in_edges: dict[int, list[tuple[int, float]]] = {}
-        src_vals: dict[int, float] = {}
-        for r in edges.itertuples():
-            in_edges.setdefault(int(r.vid), []).append((int(r.src), float(r.param)))
-            src_vals[int(r.src)] = float(r.src_val)
-        # prev_vals also serve as src_vals for intra-block sources that the
-        # kernel hasn't updated yet (their joined value = round-start value)
-        src_vals.update({v: prev_vals[v] for v in order_vids if v not in src_vals})
-        out = gs_sweep(order_vids, in_edges, prev_vals, src_vals, kind, base, fixed)
-        return pd.DataFrame({"vid": list(out.keys()), "val": list(out.values())})
+        order = verts["vid"].astype(int).tolist()
+        src, dst = edges["src"].astype(int).tolist(), edges["vid"].astype(int).tolist()
+        x = dict(zip(src, edges["src_val"].astype(float).tolist()))
+        x.update(zip(order, verts["cur_val"].astype(float).tolist()))
+        base = dict(zip(order, verts["base"].astype(float).tolist()))
+        fixed = set(verts.loc[verts["fixed"].notna(), "vid"].astype(int).tolist())
+        in_adj: dict[int, list[tuple[int, float]]] = {v: [] for v in order}
+        for u, v, p in zip(src, dst, edges["param"].astype(float).tolist()):
+            in_adj[v].append((u, p))
+        sweep(kind, order, in_adj, x, x, base, fixed)
+        return pd.DataFrame({"vid": order, "val": [x[v] for v in order]})
 
     states = spark.createDataFrame(
         pd.DataFrame(

@@ -1,8 +1,6 @@
-"""SparkSession builder for ``spark-submit`` jobs.
-
-Tests use the session-scoped ``spark`` fixture from ``conftest.py``;
-jobs launched via ``spark-submit jobs/<name>.py`` build an equivalent
-session here (same shuffle/Arrow/broadcast settings).
+"""The one SparkSession builder: jobs (``spark-submit jobs/<name>.py``),
+the test suite's ``spark`` fixture in ``conftest.py`` and perfbench all
+start their session here.
 """
 from __future__ import annotations
 
@@ -12,7 +10,13 @@ from pyspark.sql import SparkSession
 
 
 def get_session(app: str = "repro-job") -> SparkSession:
-    """Session with the repro defaults (broadcast joins disabled)."""
+    """Session with the repro defaults (broadcast joins disabled).
+
+    Broadcast joins are off so that joins exercise the shuffle path at
+    these small scales. The UI keeps every job and stage, so that counts
+    read from ``statusTracker()`` do not undercount once a session passes
+    Spark's default of 1,000 retained stages.
+    """
     return (
         SparkSession.builder.appName(app)
         .config(
@@ -21,5 +25,7 @@ def get_session(app: str = "repro-job") -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.retainedJobs", 100000)
+        .config("spark.ui.retainedStages", 100000)
         .getOrCreate()
     )

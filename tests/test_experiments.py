@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.async_impact import async_impact
 from repro.experiments.cache import cache_misses, partition_effect
-from repro.experiments.common import markdown_table
+from repro.experiments.common import load_graph, markdown_table, run_async, run_sync
 from repro.experiments.convergence import convergence, gograph_time_fraction
 from repro.experiments.degrees import degrees_experiment
 from repro.experiments.memuse import memory_usage
@@ -13,6 +13,16 @@ from repro.experiments.partition_methods import partition_methods
 from repro.experiments.table1 import PAPER_TABLE1, table1
 from repro.experiments.table2 import PAPER_TABLE2, table2
 from repro.reorder.api import METHODS
+
+
+def test_capped_run_raises():
+    """A run stopped at max_rounds has no round count to report."""
+    g = load_graph("CP", "test")
+    with pytest.raises(RuntimeError, match="pagerank.*max_rounds=5"):
+        run_async(g, "pagerank", np.arange(g.n), max_rounds=5)
+    with pytest.raises(RuntimeError, match="pagerank.*max_rounds=5"):
+        run_sync(g, "pagerank", max_rounds=5)
+    assert run_async(g, "pagerank", np.arange(g.n)).converged
 
 
 def test_table1_covers_all_paper_datasets():

@@ -1,4 +1,6 @@
 """Tests for the GoGraph reordering pipeline (Algorithm 1)."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,26 @@ from repro.reorder.api import assert_permutation
 def test_positions_are_permutation(name):
     g = dataset_graph(name, scale=0.1)
     assert_permutation(gograph_order(g), g.n)
+
+
+# sha256 of gograph_order(dataset_graph(name)).tobytes() (int64 positions)
+# on the six bench graphs. Refactors and speed-ups of the pipeline must keep
+# the positions byte-identical; a change that means to alter the order
+# regenerates these and reports the M and round deltas.
+GOLDEN_POSITIONS = {
+    "IC": "7aac89f2ab3267d9d11c301100f64e1bf179446cfdfe55930b7416a91f32c4b3",
+    "SK": "5252b1ce562f9d44744030af125fa9f9a97f6b8aff452167d0440be885edb3dc",
+    "GL": "99813ddaed8445c8cf26ec0f12b6a5c5ae0c315f4ac77b5850ff6e34765cfc4c",
+    "WK": "5e86484fd7987fbcf51f8af3e1c459ba1a86de1c2fdd7005c97545c64341270d",
+    "CP": "2c948c7cde8231b613b908bb9201d671cd77ec48f8b02a44cf6b27b8639e8e52",
+    "LJ": "c544727929355c1925376e42f822982fbda43429785bf689033b2209e8ae3d73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POSITIONS))
+def test_golden_positions_on_bench_graphs(name):
+    pos = np.ascontiguousarray(gograph_order(dataset_graph(name)), dtype=np.int64)
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == GOLDEN_POSITIONS[name]
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine.algorithms import ALGOS, make_algo
-from repro.engine.reference import fixpoint, gauss_seidel, jacobi, per_round_time
+from repro.engine.reference import fixpoint, gauss_seidel, jacobi, per_round_time, sweep
 from repro.graphs.gen import ba_graph, dataset_graph
 from repro.graphs.local import LocalGraph
 
@@ -218,3 +218,46 @@ def test_unconverged_run_reports_flag():
     g = dataset_graph("CP", scale=0.1)
     r = jacobi(g, make_algo("pagerank"), max_rounds=3)
     assert not r.converged and r.rounds == 3
+
+
+INF = float("inf")
+CHAIN = {0: [], 1: [(0, 1.0)], 2: [(1, 1.0)]}  # SSSP chain 0 → 1 → 2
+
+
+@pytest.mark.parametrize(
+    "kind, order, in_adj, x, eq1, fixed, expect",
+    [
+        # forward order: one Eq. 2 sweep propagates through both hops
+        ("min", [0, 1, 2], CHAIN, [0.0, INF, INF], False, set(), [0.0, 1.0, 2.0]),
+        # reverse order: 2 is swept before 1 and reads 1's previous-round value
+        ("min", [2, 1, 0], CHAIN, [0.0, INF, INF], False, set(), [0.0, 1.0, INF]),
+        # a fixed vertex keeps its clamped value and later vertices read it
+        ("sum", [0, 1], {0: [(1, 0.5)], 1: [(0, 0.5)]}, {0: 1.0, 1: 0.0}, False, {0}, {0: 1.0, 1: 0.5}),
+        # a round-start snapshot as src gives Eq. 1: no this-round values are read
+        ("min", [0, 1, 2], CHAIN, [0.0, INF, INF], True, set(), [0.0, 1.0, INF]),
+        # one update per kind: base + Σ x_u·p, min(x_v, x_u + p), max(x_v, min(x_u, p))
+        ("sum", [0], {0: [(1, 0.5), (2, 0.25)]}, [0.0, 1.0, 2.0], False, set(), [1.15, 1.0, 2.0]),
+        ("min", [0], {0: [(1, 1.0), (2, 1.0)]}, [7.0, 3.0, 10.0], False, set(), [4.0, 3.0, 10.0]),
+        ("min", [0], {0: [(1, 1.0)]}, [2.0, 3.0], False, set(), [2.0, 3.0]),
+        ("maxmin", [0], {0: [(1, 3.0), (2, 9.0)]}, [0.0, 5.0, 2.0], False, set(), [3.0, 5.0, 2.0]),
+    ],
+    ids=[
+        "forward-chain",
+        "reverse-reads-previous",
+        "fixed-clamped",
+        "snapshot-is-eq1",
+        "sum-update",
+        "min-update",
+        "min-keeps-own",
+        "maxmin-update",
+    ],
+)
+def test_sweep_semantics(kind, order, in_adj, x, eq1, fixed, expect):
+    src = x.copy() if eq1 else x
+    sweep(kind, order, in_adj, x, src, {0: 0.15, 1: 0.0, 2: 0.0}, fixed)
+    assert x == pytest.approx(expect)
+
+
+def test_sweep_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        sweep("prod", [0], {0: []}, [0.0], [0.0], [0.0], set())

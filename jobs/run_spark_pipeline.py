@@ -5,10 +5,13 @@ Usage: spark-submit jobs/run_spark_pipeline.py [--scale test|bench]
 """
 import argparse
 
+import numpy as np
+
 from repro.core.metric import metric_m_spark
 from repro.core.gograph import gograph_positions_spark
 from repro.engine.spark_async import run_async_spark
 from repro.engine.spark_sync import run_sync_spark
+from repro.experiments.common import require_converged
 from repro.graphs.gen import dataset_graph, edges_to_spark
 from repro.session import get_session
 
@@ -25,13 +28,18 @@ if __name__ == "__main__":
     pos_df = gograph_positions_spark(spark, edf, g.n)
     m = metric_m_spark(edf, pos_df)
     print(f"graph {args.graph}: |V|={g.n} |E|={g.n_edges}  M(GoGraph)={m} ({m/g.n_edges:.2f} of |E|)")
-    import numpy as np
-
     pos = (
         pos_df.toPandas().sort_values("vid")["pos"].to_numpy()
     )
-    sync = run_sync_spark(spark, g, args.algo)
-    asy = run_async_spark(spark, g, args.algo, pos, n_blocks=args.blocks)
+    cap = 300  # the Spark engines' default round cap
+    sync = require_converged(
+        run_sync_spark(spark, g, args.algo, max_rounds=cap), args.algo, cap
+    )
+    asy = require_converged(
+        run_async_spark(spark, g, args.algo, pos, n_blocks=args.blocks, max_rounds=cap),
+        args.algo,
+        cap,
+    )
     print(f"{args.algo}: sync rounds={sync.rounds}  async+GoGraph rounds={asy.rounds}")
     assert np.allclose(
         np.nan_to_num(sync.x, posinf=1e30), np.nan_to_num(asy.x, posinf=1e30), atol=1e-4

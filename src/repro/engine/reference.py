@@ -3,7 +3,7 @@
 This is the round-counting oracle and the harness used for the large
 parameter sweeps (7 orders × 4 algorithms × 6 graphs); the Spark engines
 are validated against it in tests (`tests/test_spark_engines.py`) and
-timed on a subset in benchmarks. See DESIGN.md §4 for why both exist.
+timed on IC by perfbench's spark-ic workload. See DESIGN.md §4 for why both exist.
 
 Semantics:
 

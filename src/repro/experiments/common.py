@@ -31,7 +31,7 @@ def order_for(g: LocalGraph, method: str, **kw) -> np.ndarray:
     return pos
 
 
-def _converged(r: RunResult, algo_name: str, max_rounds: int) -> RunResult:
+def require_converged(r: RunResult, algo_name: str, max_rounds: int) -> RunResult:
     """A run stopped at its cap has no round count to report: refuse it."""
     if not r.converged:
         raise RuntimeError(
@@ -43,13 +43,13 @@ def _converged(r: RunResult, algo_name: str, max_rounds: int) -> RunResult:
 def run_async(g: LocalGraph, algo_name: str, pos: np.ndarray, *, max_rounds: int = 500) -> RunResult:
     """Async (Eq. 2) run under an order (fast reference engine)."""
     r = gauss_seidel(g, make_algo(algo_name), pos, max_rounds=max_rounds)
-    return _converged(r, algo_name, max_rounds)
+    return require_converged(r, algo_name, max_rounds)
 
 
 def run_sync(g: LocalGraph, algo_name: str, *, max_rounds: int = 500) -> RunResult:
     """Sync (Eq. 1) run (fast reference engine)."""
     r = jacobi(g, make_algo(algo_name), max_rounds=max_rounds)
-    return _converged(r, algo_name, max_rounds)
+    return require_converged(r, algo_name, max_rounds)
 
 
 def markdown_table(df: pd.DataFrame, float_fmt: str = "{:.2f}") -> str:

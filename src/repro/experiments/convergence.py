@@ -13,8 +13,8 @@ import numpy as np
 import pandas as pd
 
 from repro.engine.algorithms import make_algo
-from repro.engine.reference import fixpoint, gauss_seidel, per_round_time
-from repro.experiments.common import load_graph, order_for
+from repro.engine.reference import fixpoint, per_round_time
+from repro.experiments.common import load_graph, order_for, run_async
 from repro.reorder.api import METHODS
 
 PAPER_FIG7 = {"gograph_time_frac_avg": 0.59, "gograph_time_frac_min": 0.37}
@@ -35,7 +35,7 @@ def convergence(
             s_star = float(np.nansum(np.where(np.isfinite(xs := fixpoint(g, algo)), xs, 0.0)))
             for method in METHODS:
                 pos = order_for(g, method)
-                r = gauss_seidel(g, algo, pos)
+                r = run_async(g, algo_name, pos)
                 dists = [abs(s_star - s) for s in r.sums]
                 d0 = max(dists[0], 1e-30) if dists else 1e-30
                 hit = next(

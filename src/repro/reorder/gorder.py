@@ -57,10 +57,13 @@ def gorder(g: LocalGraph, *, window: int = 5, hub_cap: int = 512) -> np.ndarray:
     deg = g.degree()
     order: list[int] = []
     win: list[int] = []
-    start = int(np.lexsort((np.arange(n), -deg))[0])
+    # by_deg lists vertices by (degree desc, vid asc); the fallback cursor
+    # only moves forward, since placed vertices never become unplaced
+    by_deg = np.lexsort((np.arange(n), -deg)).tolist()
+    cursor = 0
     pending = n
 
-    v = start
+    v = by_deg[0]
     while True:
         placed[v] = True
         order.append(v)
@@ -80,8 +83,9 @@ def gorder(g: LocalGraph, *, window: int = 5, hub_cap: int = 512) -> np.ndarray:
                 v = cand
                 break
         if v < 0:  # no scored candidate — pick max-degree unplaced vertex
-            rest = [u for u in range(n) if not placed[u]]
-            v = max(rest, key=lambda u: (deg[u], -u))
+            while placed[by_deg[cursor]]:
+                cursor += 1
+            v = by_deg[cursor]
 
     pos = np.empty(n, dtype=np.int64)
     pos[np.asarray(order)] = np.arange(n)

@@ -1,10 +1,13 @@
 """Tests for the competitor reordering methods (§V-A)."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graphs.gen import community_ba_graph, dataset_graph
 from repro.reorder.api import METHODS, assert_permutation, compute_order
 from repro.reorder.baselines import degree_sort, hub_cluster, hub_sort
+from repro.reorder.gorder import gorder
 
 GRAPHS = ["IC", "CP"]
 
@@ -94,6 +97,24 @@ def test_gorder_window_groups_siblings():
     pos = compute_order(g, "gorder")
     sib_pos = np.sort(pos[1:])
     assert sib_pos[-1] - sib_pos[0] == 5  # contiguous block
+
+
+# sha256 of gorder(dataset_graph(name)).tobytes() (int64 positions) on the
+# six bench graphs. Speed-ups of Gorder must keep the positions byte-identical.
+GORDER_GOLDEN_POSITIONS = {
+    "IC": "68a40e15f6716585ad2e13504c32871f714f2b44abdbb409eb09167116a20c87",
+    "SK": "19bfed44aa793863c364606ded4a32864d30cccb65694195632d5790ddf8a52d",
+    "GL": "38e54e9f196df9c623ba3fdb5d629ed2573de2b25604d11b1b6207ad21658342",
+    "WK": "984961a81cb18123bbeea2b2d447b82a554605e6195cdd52cc364d2d1974c81a",
+    "CP": "d860123b71719993184c5d92b0c17b54ac44f832c703eba68a3c66de83b9e232",
+    "LJ": "9ab987864c35df5de372162651a72b8b367602a06100fef1e0854b748c3d7995",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GORDER_GOLDEN_POSITIONS))
+def test_gorder_golden_positions_on_bench_graphs(name):
+    pos = np.ascontiguousarray(gorder(dataset_graph(name)), dtype=np.int64)
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == GORDER_GOLDEN_POSITIONS[name]
 
 
 def test_rabbit_orders_community_members_contiguously():

@@ -1,7 +1,15 @@
 """Smoke tests for the per-table experiment harnesses (test scale)."""
+import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments import common
 from repro.experiments.async_impact import async_impact
 from repro.experiments.cache import cache_misses, partition_effect
 from repro.experiments.common import load_graph, markdown_table, run_async, run_sync
@@ -10,9 +18,12 @@ from repro.experiments.degrees import degrees_experiment
 from repro.experiments.memuse import memory_usage
 from repro.experiments.overall import gograph_speedups, overall
 from repro.experiments.partition_methods import partition_methods
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.table1 import PAPER_TABLE1, table1
 from repro.experiments.table2 import PAPER_TABLE2, table2
 from repro.reorder.api import METHODS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_capped_run_raises():
@@ -23,6 +34,50 @@ def test_capped_run_raises():
     with pytest.raises(RuntimeError, match="pagerank.*max_rounds=5"):
         run_sync(g, "pagerank", max_rounds=5)
     assert run_async(g, "pagerank", np.arange(g.n)).converged
+
+
+def test_convergence_refuses_capped_run(monkeypatch):
+    """Fig 7 reports rounds_to_eps only for runs that converged."""
+    real = common.gauss_seidel
+    monkeypatch.setattr(
+        common,
+        "gauss_seidel",
+        lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False),
+    )
+    with pytest.raises(RuntimeError, match="pagerank.*max_rounds=500"):
+        convergence("test", graphs=("CP",), algos=("pagerank",))
+
+
+def test_registry_names_are_design_rows():
+    """One registry entry per DESIGN.md §3 row, in the same order."""
+    design = (ROOT / "DESIGN.md").read_text()
+    section = design.split("## 3.", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|.*\| `(\w+)` \|$", section, re.M)
+    assert len(rows) == 9
+    assert rows == list(EXPERIMENTS)
+
+
+def _run_job(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "jobs" / "run.py"), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_run_job_prints_markdown_table():
+    r = _run_job("table1", "--scale", "test")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("| graph |")
+
+
+def test_run_job_rejects_unknown_name():
+    r = _run_job("table3", "--scale", "test")
+    assert r.returncode != 0
+    assert "table3" in r.stderr
 
 
 def test_table1_covers_all_paper_datasets():

@@ -23,14 +23,16 @@ sweeps) and :func:`gograph_positions_spark` (distributed via
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.insertion import get_opt_val
 from repro.graphs.local import LocalGraph
 from repro.partition.api import partition
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 HD_FRAC_DEFAULT = 0.002  # paper: "extract the top 0.2% vertices"
 
@@ -313,6 +315,8 @@ def gograph_positions_spark(
     Returns DataFrame(vid long, pos long); positions are identical to
     :func:`gograph_order` (asserted in tests).
     """
+    import pandas as pd
+
     from repro.graphs.local import to_local
 
     def _conquer_spark(part_vids, part_edges) -> dict[int, float]:

@@ -7,12 +7,14 @@ them against each other and against a DuckDB SQL oracle.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs.local import LocalGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 
 def metric_m_local(g: LocalGraph, positions: np.ndarray) -> int:
@@ -22,6 +24,8 @@ def metric_m_local(g: LocalGraph, positions: np.ndarray) -> int:
 
 def positions_to_spark(spark: SparkSession, positions: np.ndarray) -> DataFrame:
     """Positions array (vid → ordinal) → DataFrame(vid long, pos long)."""
+    import pandas as pd
+
     return spark.createDataFrame(
         pd.DataFrame(
             {"vid": np.arange(len(positions), dtype=np.int64), "pos": positions.astype(np.int64)}
@@ -31,6 +35,8 @@ def positions_to_spark(spark: SparkSession, positions: np.ndarray) -> DataFrame:
 
 def metric_m_spark(edges_df: DataFrame, pos_df: DataFrame) -> int:
     """M(O) via DataFrame joins — pos_df has columns (vid, pos)."""
+    from pyspark.sql import functions as F
+
     src_pos = pos_df.select(
         F.col("vid").alias("src"), F.col("pos").alias("p_src")
     )

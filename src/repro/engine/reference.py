@@ -104,10 +104,12 @@ def sweep(kind: str, order, in_adj, x, src, base, fixed) -> None:
         raise ValueError(kind)
 
 
-def _in_adj(eg: LocalGraph, prep: Prepared) -> list[list[tuple[int, float]]]:
+def _in_adj(
+    n: int, src: np.ndarray, dst: np.ndarray, param: np.ndarray
+) -> list[list[tuple[int, float]]]:
     """Per-vertex in-edge lists [(src, param)] in edge-array order."""
-    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(eg.n)]
-    for s, d, p in zip(eg.src.tolist(), eg.dst.tolist(), prep.param.tolist()):
+    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for s, d, p in zip(src.tolist(), dst.tolist(), param.tolist()):
         in_adj[d].append((s, p))
     return in_adj
 
@@ -181,7 +183,7 @@ def gauss_seidel(
     eg = effective_graph(g, prep)
     t0 = time.perf_counter()
     order = np.argsort(positions, kind="stable").tolist()
-    in_adj = _in_adj(eg, prep)
+    in_adj = _in_adj(eg.n, eg.src, eg.dst, prep.param)
     base = prep.base.tolist()
     x = prep.init.tolist()
     deltas: list[float] = []
@@ -343,21 +345,30 @@ def per_round_time(
     sweep whose per-round cost is order-independent, whereas the
     vectorized fast engine's per-round cost varies with the positive-DAG
     depth, which would be a measurement artifact (DESIGN.md §4).
+
+    The graph is first relabelled so that vertex ``i`` is the one at
+    position ``i`` and its in-edge lists are built in that order; the
+    timed sweep then walks ``range(n)`` over memory laid out in sweep
+    order, so no order pays for scattered access to lists stored in vid
+    order.
     """
     prep = algo.prepare(g, source)
     eg = effective_graph(g, prep)
-    order = (
-        np.argsort(positions, kind="stable").tolist()
-        if positions is not None
-        else list(range(eg.n))
-    )
-    in_adj = _in_adj(eg, prep)
-    base = prep.base.tolist()
-    x = prep.init.tolist()
+    n = eg.n
+    vid_at = np.arange(n) if positions is None else np.argsort(positions, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[vid_at] = np.arange(n)
+    # edges grouped by destination position, each list in edge-array order
+    by_dst = np.argsort(rank[eg.dst], kind="stable")
+    in_adj = _in_adj(n, rank[eg.src][by_dst], rank[eg.dst][by_dst], prep.param[by_dst])
+    base = prep.base[vid_at].tolist()
+    x = prep.init[vid_at].tolist()
+    fixed = {int(rank[v]): val for v, val in prep.fixed.items()}
+    order = range(n)
     best = float("inf")
     for _ in range(sweeps):
         t0 = time.perf_counter()
         src = x if positions is not None else x.copy()
-        sweep(prep.kind, order, in_adj, x, src, base, prep.fixed)
+        sweep(prep.kind, order, in_adj, x, src, base, fixed)
         best = min(best, time.perf_counter() - t0)
     return best

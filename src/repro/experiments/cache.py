@@ -7,13 +7,16 @@ with vs without its partitioning step (paper: partitioning cuts misses
 """
 from __future__ import annotations
 
-import pandas as pd
+from typing import TYPE_CHECKING
 
 from repro.cachesim.lru import simulate_misses
 from repro.cachesim.trace import pagerank_trace
 from repro.core.gograph import gograph_order
 from repro.experiments.common import GRAPHS, load_graph, order_for
 from repro.reorder.api import METHODS
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 PAPER_FIG9 = {"gograph_avg_reduction_pct": 30}
 PAPER_FIG10 = {"partition_reduction_avg_pct": 33, "partition_reduction_max_pct": 58}
@@ -29,6 +32,8 @@ def cache_misses(
     scale: str = "bench", graphs: tuple[str, ...] = GRAPHS
 ) -> pd.DataFrame:
     """Fig 9: PageRank-trace misses per (graph, method)."""
+    import pandas as pd
+
     rows = []
     for gname in graphs:
         g = load_graph(gname, scale)
@@ -60,6 +65,8 @@ def partition_effect(
     subgraph, candidates inserted in ID order (no subgraph-local BFS
     frontier exists without the divide phase — DESIGN.md §4).
     """
+    import pandas as pd
+
     rows = []
     for gname in graphs:
         g = load_graph(gname, scale)

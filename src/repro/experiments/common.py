@@ -5,14 +5,18 @@ and ``test`` (10× smaller, used by smoke tests of the harnesses).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
 
 from repro.engine.algorithms import make_algo
 from repro.engine.reference import RunResult, gauss_seidel, jacobi
 from repro.graphs.gen import dataset_graph
 from repro.graphs.local import LocalGraph
 from repro.reorder.api import METHODS, assert_permutation, compute_order
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 SCALES = {"bench": 1.0, "test": 0.1}
 TABLE2_ALGOS = ("pagerank", "sssp", "bfs", "php")

@@ -16,11 +16,14 @@ integers in [1, 10] stored as float64 (used by SSSP/PHP/SSWP).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.local import LocalGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 #: Stand-in parameters per paper dataset (bench scale). ``n`` is the vertex
 #: count, ``m`` the BA attachment count (average in-degree ≈ m + extra),
@@ -48,17 +51,23 @@ def _ba_undirected_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     """
     if n <= m:
         raise ValueError(f"need n > m, got n={n}, m={m}")
-    repeated: list[int] = list(range(m))  # seed clique-ish pool
-    edges: list[tuple[int, int]] = []
-    rep = np.array(repeated, dtype=np.int64)
-    # grow in chunks to amortize numpy overhead
+    # the pool starts as 0..m-1 and each step appends at most 2m endpoints
+    rep = np.empty(m + 2 * m * (n - m), dtype=np.int64)
+    rep[:m] = np.arange(m)
+    n_rep = m
+    edges = np.empty((m * (n - m), 2), dtype=np.int64)
+    n_edges = 0
     for v in range(m, n):
-        idx = rng.integers(0, len(rep), size=m)
+        idx = rng.integers(0, n_rep, size=m)
         targets = np.unique(rep[idx])
-        for t in targets:
-            edges.append((v, int(t)))
-        rep = np.concatenate([rep, targets, np.full(len(targets), v, dtype=np.int64)])
-    return np.asarray(edges, dtype=np.int64)
+        k = len(targets)
+        edges[n_edges : n_edges + k, 0] = v
+        edges[n_edges : n_edges + k, 1] = targets
+        n_edges += k
+        rep[n_rep : n_rep + k] = targets
+        rep[n_rep + k : n_rep + 2 * k] = v
+        n_rep += 2 * k
+    return edges[:n_edges]
 
 
 def _orient(pairs: np.ndarray, forward_frac: float, rng: np.random.Generator) -> np.ndarray:
@@ -109,6 +118,79 @@ def ba_graph(
     )
 
 
+class _ScalarDraws:
+    """The scalar draws ``rng.random()`` and ``rng.integers(0, k)`` of a
+    PCG64 ``Generator``, replayed bit for bit from raw words read in bulk.
+
+    A scalar numpy call costs ~0.5 µs (``random``) or ~2.5 µs
+    (``integers``); a replayed draw is a few Python integer operations.
+    ``random()`` is numpy's ``(raw >> 11) * 2**-53``. ``integers(k)`` is
+    numpy's 32-bit Lemire draw with rejection, whose 32-bit halves come
+    low half first through PCG64's ``has_uint32``/``uinteger`` buffer;
+    ``k == 1`` consumes nothing. The words come from a copy of the bit
+    generator: :meth:`close` advances the real one by the words used and
+    restores the buffer, so later draws on ``rng`` continue from the
+    state the scalar calls would have left.
+    """
+
+    _CHUNK = 8192  # words read from the copy at a time
+
+    def __init__(self, rng: np.random.Generator):
+        bg = rng.bit_generator
+        state = bg.state
+        self._bg = bg
+        self._copy = np.random.PCG64()
+        self._copy.state = state  # raises unless ``rng`` is PCG64
+        self._has_uint32 = bool(state["has_uint32"])
+        self._uinteger = int(state["uinteger"])
+        self._words: list[int] = []
+        self._i = 0  # next word in ``_words``
+        self._used = 0  # words consumed before ``_words``
+
+    def _word(self) -> int:
+        i = self._i
+        if i == len(self._words):
+            self._used += i
+            self._words = self._copy.random_raw(self._CHUNK).tolist()
+            i = 0
+        self._i = i + 1
+        return self._words[i]
+
+    def _uint32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = False
+            return self._uinteger
+        w = self._word()
+        self._has_uint32 = True
+        self._uinteger = w >> 32
+        return w & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """``rng.random()``: a float in [0, 1)."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, k: int) -> int:
+        """``rng.integers(0, k)`` for 1 <= k < 2**32."""
+        if not 1 <= k < 1 << 32:
+            raise ValueError(f"replay covers 1 <= k < 2**32, got k={k}")
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = ((1 << 32) - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
+
+    def close(self) -> None:
+        """Move ``rng`` to the state the replayed scalar calls would leave."""
+        self._bg.advance(self._used + self._i)
+        state = self._bg.state
+        state["has_uint32"] = int(self._has_uint32)
+        state["uinteger"] = self._uinteger
+        self._bg.state = state
+
+
 def community_ba_graph(
     n: int,
     m: int,
@@ -141,27 +223,29 @@ def community_ba_graph(
     """
     rng = np.random.default_rng(seed)
     n_comms = max(1, n // comm_size)
-    comm = rng.integers(0, n_comms, size=n)
+    comm = rng.integers(0, n_comms, size=n).tolist()
     pools: list[list[int]] = [[] for _ in range(n_comms)]
     global_pool: list[int] = []
     pairs: list[tuple[int, int]] = []
+    draws = _ScalarDraws(rng)
     for v in range(n):
-        c = int(comm[v])
+        c = comm[v]
         targets: set[int] = set()
         for _ in range(m):
-            use_intra = pools[c] and rng.random() < p_intra
+            use_intra = pools[c] and draws.random() < p_intra
             pool = pools[c] if use_intra else global_pool
             if not pool:
                 continue
-            t = pool[int(rng.integers(0, len(pool)))]
+            t = pool[draws.integers(len(pool))]
             if t != v:
                 targets.add(t)
         for t in targets:
             pairs.append((v, t))
-            pools[int(comm[t])].append(t)
+            pools[comm[t]].append(t)
             global_pool.append(t)
         pools[c].append(v)
         global_pool.append(v)
+    draws.close()
     arr = np.asarray(pairs, dtype=np.int64)
     if extra_frac > 0:
         k = int(len(arr) * extra_frac)
@@ -196,5 +280,7 @@ def dataset_graph(name: str, *, scale: float = 1.0) -> LocalGraph:
 
 def edges_to_spark(spark: SparkSession, g: LocalGraph) -> DataFrame:
     """LocalGraph edges → Spark DataFrame(src long, dst long, weight double)."""
+    import pandas as pd
+
     pdf = pd.DataFrame({"src": g.src, "dst": g.dst, "weight": g.w})
     return spark.createDataFrame(pdf)

@@ -2,17 +2,21 @@
 sequential reorder kernels, and the cache simulator.
 
 ``LocalGraph`` is a plain struct of numpy edge arrays; adjacency builders
-are cached. Spark DataFrames remain the canonical interchange format —
-``to_local`` collects a Spark edge frame when a sequential substrate
-(Gauss–Seidel sweep, Gorder window, LRU simulation) needs the whole graph
-in memory, which is fine at reproduction scale (≤ ~100k edges).
+are cached. It is the format the generators produce and every numpy-path
+module (reorderers, partitioners, reference engine, cache simulator)
+consumes. ``to_local`` collects a Spark edge frame (src, dst[, weight])
+into one, for the Spark functions whose driver-side steps need the whole
+graph in memory, which is fine at reproduction scale (≤ ~100k edges).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from pyspark.sql import DataFrame
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 @dataclass

@@ -4,7 +4,7 @@ paper's theoretical claims (monotonicity, Lemma 1 / Theorem 1 behavior).
 import numpy as np
 import pytest
 
-from repro.engine.algorithms import ALGOS, make_algo
+from repro.engine.algorithms import ALGOS, effective_graph, make_algo
 from repro.engine.reference import fixpoint, gauss_seidel, jacobi, per_round_time, sweep
 from repro.graphs.gen import ba_graph, dataset_graph
 from repro.graphs.local import LocalGraph
@@ -212,6 +212,48 @@ def test_per_round_time_positive_and_stable():
     t_sync = per_round_time(g, make_algo("pagerank"), None, sweeps=2)
     t_async = per_round_time(g, make_algo("pagerank"), np.arange(g.n), sweeps=2)
     assert t_sync > 0 and t_async > 0
+
+
+@pytest.mark.parametrize("algo_name", ["pagerank", "sssp", "php", "sswp", "cc"])
+@pytest.mark.parametrize("order", ["identity", "reversed", "shuffled", "sync"])
+def test_per_round_time_sweeps_the_graph_relabelled_into_position_order(
+    monkeypatch, algo_name, order
+):
+    # the timed sweep runs on the graph relabelled so that vertex i is the
+    # one at position i; mapped back, its states are one round of the engine
+    from repro.engine import reference
+
+    g = dataset_graph("IC", scale=0.1)
+    positions = {
+        "identity": np.arange(g.n),
+        "reversed": np.arange(g.n)[::-1].copy(),
+        "shuffled": np.random.default_rng(5).permutation(g.n),
+        "sync": None,
+    }[order]
+    seen = []
+    inner = reference.sweep
+
+    def recording_sweep(kind, order_, in_adj, x, src, base, fixed):
+        inner(kind, order_, in_adj, x, src, base, fixed)
+        seen.append((list(order_), list(x)))
+
+    monkeypatch.setattr(reference, "sweep", recording_sweep)
+    algo = make_algo(algo_name)
+    per_round_time(g, algo, positions, sweeps=1)
+    (swept, x), = seen
+    assert swept == list(range(g.n))
+    if positions is None:
+        # one Eq. 1 sweep in vid order, reading a round-start copy
+        prep = algo.prepare(g, None)
+        eg = effective_graph(g, prep)
+        want = prep.init.tolist()
+        in_adj = reference._in_adj(eg.n, eg.src, eg.dst, prep.param)
+        inner(prep.kind, range(g.n), in_adj, want, list(want), prep.base.tolist(), prep.fixed)
+        rank = np.arange(g.n)
+    else:
+        want = gauss_seidel(g, algo, positions, max_rounds=1, impl="python").x
+        rank = positions
+    assert np.array_equal(np.asarray(x)[rank], np.asarray(want))
 
 
 def test_unconverged_run_reports_flag():

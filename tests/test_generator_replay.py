@@ -15,7 +15,6 @@ from repro.graphs.gen import (
     _dedupe,
     _orient,
     _ScalarDraws,
-    ba_graph,
     community_ba_graph,
     dataset_graph,
 )
@@ -187,16 +186,3 @@ def test_ba_pairs_match_concatenating_pool(n, m, seed):
     ref = _ba_pairs_reference(n, m, np.random.default_rng(seed))
     assert np.array_equal(got, ref)
 
-
-def test_ba_graph_matches_reference_pipeline():
-    rng = np.random.default_rng(11)
-    pairs = _ba_pairs_reference(500, 3, rng)
-    k = int(len(pairs) * 0.1)
-    a = rng.integers(0, 500, size=k)
-    b = rng.integers(0, 500, size=k)
-    keep = a != b
-    pairs = np.concatenate([pairs, np.stack([a[keep], b[keep]], axis=1)])
-    pairs = _dedupe(_orient(pairs, 0.4, rng))
-    w = rng.integers(1, 11, size=len(pairs)).astype(np.float64)
-    g = ba_graph(500, 3, forward_frac=0.4, extra_frac=0.1, seed=11)
-    _assert_same(g, (pairs[:, 0], pairs[:, 1], w))

@@ -119,7 +119,11 @@ def jacobi(
 ) -> RunResult:
     """Synchronous (Eq. 1) iteration, vectorized with numpy."""
     prep = algo.prepare(g, source)
-    eg = effective_graph(g, prep)
+    return _jacobi_loop(prep, effective_graph(g, prep), prep.tol, max_rounds)
+
+
+def _jacobi_loop(prep: Prepared, eg: LocalGraph, tol: float, max_rounds: int) -> RunResult:
+    """Eq. 1 rounds from ``prep.init`` until the max state change is ≤ ``tol``."""
     t0 = time.perf_counter()
     x = prep.init.copy()
     fixed_idx = np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))
@@ -134,7 +138,7 @@ def jacobi(
             xn[fixed_idx] = fixed_val
         d = _delta(x, xn)
         x = xn
-        if d <= prep.tol:
+        if d <= tol:
             converged = True
             break
         deltas.append(d)
@@ -208,19 +212,7 @@ def gauss_seidel(
 def fixpoint(g: LocalGraph, algo: Algo, *, source: int | None = None) -> np.ndarray:
     """Converged state x* (tight-tolerance Jacobi) — oracle for tests."""
     prep = algo.prepare(g, source)
-    eg = effective_graph(g, prep)
-    x = prep.init.copy()
-    fixed_idx = np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))
-    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
-    tol = prep.tol / 1e3 if prep.tol > 0 else 0.0
-    for _ in range(MAX_ROUNDS):
-        xn = _jacobi_step_arrays(x, eg, prep)
-        if len(fixed_idx):
-            xn[fixed_idx] = fixed_val
-        if _delta(x, xn) <= tol:
-            return xn
-        x = xn
-    return x
+    return _jacobi_loop(prep, effective_graph(g, prep), prep.tol / 1e3, MAX_ROUNDS).x
 
 
 def gauss_seidel_fast(

@@ -4,8 +4,6 @@ start their session here.
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
 
 
@@ -19,10 +17,7 @@ def get_session(app: str = "repro-job") -> SparkSession:
     """
     return (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.retainedJobs", 100000)

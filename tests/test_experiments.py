@@ -167,6 +167,14 @@ def test_convergence_harness():
     assert (frac["gograph_time_frac"] > 0).all()
 
 
+def test_convergence_charges_every_order_one_round_time():
+    """Within a (graph, algo) cell, Fig 7's time is rounds × one per-round time."""
+    df = convergence("test", graphs=("CP",), algos=("pagerank", "sssp"))
+    for _, cell in df.groupby(["graph", "algo"]):
+        per_round = (cell["time_to_eps_s"] / cell["rounds_to_eps"]).to_numpy()
+        assert np.allclose(per_round, per_round[0], rtol=1e-12, atol=0.0)
+
+
 def test_markdown_table_renders():
     df = table1("test")
     md = markdown_table(df)

@@ -1,18 +1,19 @@
 """Parity tests: Spark engines vs the local reference engine.
 
-Graphs are tiny and fast-converging algorithms are used for full-run
-parity; PageRank (≈100 rounds) is compared with capped rounds so the
-suite stays fast — per-round deltas and states must match exactly
-either way.
+Graphs are small (100 vertices; IC at scale 0.5 for BFS) and
+fast-converging algorithms are used for full-run parity; PageRank
+(≈100 rounds) is compared with capped rounds so the suite stays fast —
+per-round deltas and states must match exactly either way.
 """
 import numpy as np
 import pytest
 
+from repro.core.gograph import gograph_order
 from repro.engine.algorithms import make_algo
 from repro.engine.reference import gauss_seidel, jacobi
 from repro.engine.spark_async import run_async_spark
 from repro.engine.spark_sync import run_sync_spark
-from repro.graphs.gen import ba_graph
+from repro.graphs.gen import ba_graph, dataset_graph
 from repro.reorder.api import compute_order
 
 
@@ -78,3 +79,42 @@ def test_async_beats_sync_rounds_on_spark(spark, tiny):
     sync = run_sync_spark(spark, tiny, "bfs")
     asy = run_async_spark(spark, tiny, "bfs", pos, n_blocks=2)
     assert asy.rounds <= sync.rounds
+
+
+def _with_job_count(spark, group, fn):
+    """``fn()`` and the number of Spark jobs it launched."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_bfs_parity_and_job_counts_on_ic(spark):
+    """Parity beyond 100 vertices, on spark-ic's graph (IC at scale 0.5).
+
+    Rounds, per-round deltas and states equal the reference engine's
+    exactly. The job counts are exact too: they are what each run's
+    dataflow launches, so one more join per block-step or per round
+    changes them.
+    """
+    g = dataset_graph("IC", scale=0.5)
+    pos = gograph_order(g)
+    bfs = make_algo("bfs")
+    sync, sync_jobs = _with_job_count(
+        spark, "ic-bfs-sync", lambda: run_sync_spark(spark, g, "bfs", max_rounds=20)
+    )
+    asyn, async_jobs = _with_job_count(
+        spark,
+        "ic-bfs-async",
+        lambda: run_async_spark(spark, g, "bfs", pos, n_blocks=2, max_rounds=20),
+    )
+    refs = (jacobi(g, bfs, max_rounds=20), gauss_seidel(g, bfs, pos, max_rounds=20))
+    for got, ref in zip((sync, asyn), refs):
+        assert got.converged
+        assert got.rounds == ref.rounds
+        assert got.deltas == ref.deltas
+        assert np.array_equal(got.x, ref.x)
+    assert (sync_jobs, async_jobs) == (76, 63)

@@ -74,18 +74,25 @@ def run_async_spark(
         with np.errstate(invalid="ignore"):  # inf - inf
             return verts.assign(val=new, d=np.where(new == old, 0.0, np.abs(new - old)))
 
+    # Plan pieces that do not depend on the states, built once per run:
+    # each costs py4j round trips, and a step would rebuild them per block.
+    schema = states.schema
+    src_states = (F.col("vid").alias("src"), F.col("val").alias("src_val"))
+    blocks = [
+        (F.col("blk") == b, F.col("blk") != b, edges.where(F.col("blk") == b))
+        for b in range(n_blocks)
+    ]
+
     def step(states: DataFrame) -> DataFrame:
-        for b in range(n_blocks):
-            in_edges = edges.where(F.col("blk") == b).join(
-                states.select(F.col("vid").alias("src"), F.col("val").alias("src_val")), "src"
-            )
+        for in_block, rest, block_edges in blocks:
+            in_edges = block_edges.join(states.select(*src_states), "src")
             updated = (
-                states.where(F.col("blk") == b)
+                states.where(in_block)
                 .groupBy("blk")
                 .cogroup(in_edges.groupBy("blk"))
-                .applyInPandas(_block_fn, states.schema)
+                .applyInPandas(_block_fn, schema)
             )
-            states = checkpoint(states.where(F.col("blk") != b).unionByName(updated))
+            states = checkpoint(states.where(rest).unionByName(updated))
         return states
 
     return iterate(states, step, prep.tol, max_rounds, t0)

@@ -107,17 +107,15 @@ def run_sync_spark(
     vertices = frame(spark, vid=vid, base=prep.base, fixed=fixed)
     message, new_val = _OPS[prep.kind](*map(F.col, ("x_src", "param", "val", "m")))
     val = F.coalesce(F.col("fixed"), new_val)
+    # Built once per run: each Column call is a py4j round trip.
+    src_states = (F.col("vid").alias("src"), F.col("val").alias("x_src"))
+    message = message.alias("m")
+    out = ("vid", val.alias("val"), change(F.col("val"), val).alias("d"))
 
     def step(states: DataFrame) -> DataFrame:
-        agg = (
-            edges.join(states.select(F.col("vid").alias("src"), F.col("val").alias("x_src")), "src")
-            .groupBy("dst")
-            .agg(message.alias("m"))
-        )
+        agg = edges.join(states.select(*src_states), "src").groupBy("dst").agg(message)
         return checkpoint(
-            vertices.join(agg, vertices.vid == agg.dst, "left")
-            .join(states, "vid")
-            .select("vid", val.alias("val"), change(F.col("val"), val).alias("d"))
+            vertices.join(agg, vertices.vid == agg.dst, "left").join(states, "vid").select(*out)
         )
 
     return iterate(frame(spark, vid=vid, val=prep.init), step, prep.tol, max_rounds, t0)

@@ -5,6 +5,8 @@ fast-converging algorithms are used for full-run parity; PageRank
 (≈100 rounds) is compared with capped rounds so the suite stays fast —
 per-round deltas and states must match exactly either way.
 """
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def test_async_beats_sync_rounds_on_spark(spark, tiny):
     sync = run_sync_spark(spark, tiny, "bfs")
     asy = run_async_spark(spark, tiny, "bfs", pos, n_blocks=2)
     assert asy.rounds <= sync.rounds
+
+
+def test_session_skips_dataframe_origin_capture(spark, tiny):
+    """With PySpark's DataFrame debugging on, every Column call records its
+    call site in the JVM and the first one imports IPython; the session
+    turns it off, so a whole engine run imports no IPython."""
+    run_sync_spark(spark, tiny, "bfs")
+    assert spark.conf.get("spark.python.sql.dataFrameDebugging.enabled") == "false"
+    assert "IPython" not in sys.modules
 
 
 def _with_job_count(spark, group, fn):

@@ -7,7 +7,6 @@ import pytest
 from repro.graphs.gen import community_ba_graph, dataset_graph
 from repro.reorder.api import METHODS, assert_permutation, compute_order
 from repro.reorder.baselines import degree_sort, hub_cluster, hub_sort
-from repro.reorder.gorder import gorder
 
 GRAPHS = ["IC", "CP"]
 
@@ -99,22 +98,47 @@ def test_gorder_window_groups_siblings():
     assert sib_pos[-1] - sib_pos[0] == 5  # contiguous block
 
 
-# sha256 of gorder(dataset_graph(name)).tobytes() (int64 positions) on the
-# six bench graphs. Speed-ups of Gorder must keep the positions byte-identical.
-GORDER_GOLDEN_POSITIONS = {
-    "IC": "68a40e15f6716585ad2e13504c32871f714f2b44abdbb409eb09167116a20c87",
-    "SK": "19bfed44aa793863c364606ded4a32864d30cccb65694195632d5790ddf8a52d",
-    "GL": "38e54e9f196df9c623ba3fdb5d629ed2573de2b25604d11b1b6207ad21658342",
-    "WK": "984961a81cb18123bbeea2b2d447b82a554605e6195cdd52cc364d2d1974c81a",
-    "CP": "d860123b71719993184c5d92b0c17b54ac44f832c703eba68a3c66de83b9e232",
-    "LJ": "9ab987864c35df5de372162651a72b8b367602a06100fef1e0854b748c3d7995",
+# sha256 of compute_order(dataset_graph(name), method).tobytes() (int64
+# positions) on the six bench graphs. Refactors and speed-ups of the
+# reorderers must keep the positions byte-identical.
+GOLDEN_POSITIONS = {
+    ("degsort", "IC"): "8e577746f76b458bb8a261919839896d3edf789cde9d39a2881305f00c4e6eb2",
+    ("degsort", "SK"): "5b0b582836b51631f8faea1f8baa1ee678ece2c1d3663088273b1e92ee7ee875",
+    ("degsort", "GL"): "5ac0fc64fd4e1de4a4fdf9e24305310ae4582838bfc74d89aa1838cb1e9d7a0f",
+    ("degsort", "WK"): "00fa8e1200b42bdc4a21e783eb0763e5813f6a96cac41b9b588d195234dfd9db",
+    ("degsort", "CP"): "6f3a7c9848412900cc9b13fa8a4952d1ba5f43dd768a89b7a6e7bd9b3d963939",
+    ("degsort", "LJ"): "9cc53facf77ed9f6b825b329b3897079c07a138bd39de675d8fce717110dd8af",
+    ("hubsort", "IC"): "3326752ce37a3ab1130d3992639cc72c10387dd76d1ffec2512787953416889a",
+    ("hubsort", "SK"): "9de4e44add6cb51313c88e5d88f846c6da5013fe19d88208bec56f8c81600a43",
+    ("hubsort", "GL"): "1214d5e4752d5c9798cbcae7a9bddb6ee96ccf5fb4d948ff4ed2d78a3d227f42",
+    ("hubsort", "WK"): "6aa709ed2d92659a564c86fd277ea5bd32648596d28255e21aa95a2090a2a158",
+    ("hubsort", "CP"): "8bda7714ba023bf5abf0a9dece116ff7ce01c889fc55086f67671e543eeecb1a",
+    ("hubsort", "LJ"): "cb057ece72a2ced7801dc0c31114481c8566a68698c94210877b2c95123ecc6a",
+    ("hubcluster", "IC"): "49f5a4ff8f68277ad5e9a48f47f592fabacdc129ab0464ffc0559ccac62cf3fd",
+    ("hubcluster", "SK"): "56e90184faa36947d6d00149b6f0ae5bf79048d12a354946eedd484e74a169e7",
+    ("hubcluster", "GL"): "9eb0bfb0bf871274e4c58a7f70b2e6f1d43a5e1247c3fb86edf9da4743787340",
+    ("hubcluster", "WK"): "76ec693eb877007a04cdefa59e80348010e3c2ab2305bd743706e8b8be4eb915",
+    ("hubcluster", "CP"): "aea557fd00f06eecf256d81101d4da44531afba226711c0b2d070d74d4d4db67",
+    ("hubcluster", "LJ"): "74bfe3f559ccddee1f7d674a0c5e482cfdd9bad6a4e7a143869e303f85cbc4e1",
+    ("gorder", "IC"): "68a40e15f6716585ad2e13504c32871f714f2b44abdbb409eb09167116a20c87",
+    ("gorder", "SK"): "19bfed44aa793863c364606ded4a32864d30cccb65694195632d5790ddf8a52d",
+    ("gorder", "GL"): "38e54e9f196df9c623ba3fdb5d629ed2573de2b25604d11b1b6207ad21658342",
+    ("gorder", "WK"): "984961a81cb18123bbeea2b2d447b82a554605e6195cdd52cc364d2d1974c81a",
+    ("gorder", "CP"): "d860123b71719993184c5d92b0c17b54ac44f832c703eba68a3c66de83b9e232",
+    ("gorder", "LJ"): "9ab987864c35df5de372162651a72b8b367602a06100fef1e0854b748c3d7995",
+    ("rabbit", "IC"): "b9b789376e3b0fbfa6d843b9cb8e81fc1968d469f11b6c772b49b25afe324b03",
+    ("rabbit", "SK"): "3157c923b4696bd5541c0fac4a105b8fb9a9357e7b31ea889369c242d3fa9034",
+    ("rabbit", "GL"): "5a6c2428d9948e21f6926eff44149c2fe249da54314f1f26162050382a9b3cbc",
+    ("rabbit", "WK"): "1a945ac4bb5397a533b6fb99e4c65d1d3bef636081ec519bed7a8583d62d4c76",
+    ("rabbit", "CP"): "8a95615fff0f707bc817e1f40b7f712c524b634b7d7dff71ac776e4e7bdbdff9",
+    ("rabbit", "LJ"): "85c99f95299ef2576bc5180a80bae9823d1c718bf7599655a8861fb539d6e619",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GORDER_GOLDEN_POSITIONS))
-def test_gorder_golden_positions_on_bench_graphs(name):
-    pos = np.ascontiguousarray(gorder(dataset_graph(name)), dtype=np.int64)
-    assert hashlib.sha256(pos.tobytes()).hexdigest() == GORDER_GOLDEN_POSITIONS[name]
+@pytest.mark.parametrize("method, name", sorted(GOLDEN_POSITIONS))
+def test_gorder_golden_positions_on_bench_graphs(method, name):
+    pos = np.ascontiguousarray(compute_order(dataset_graph(name), method), dtype=np.int64)
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == GOLDEN_POSITIONS[method, name]
 
 
 def test_rabbit_orders_community_members_contiguously():

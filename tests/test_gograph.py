@@ -21,24 +21,49 @@ def test_positions_are_permutation(name):
     assert_permutation(gograph_order(g), g.n)
 
 
-# sha256 of gograph_order(dataset_graph(name)).tobytes() (int64 positions)
-# on the six bench graphs. Refactors and speed-ups of the pipeline must keep
-# the positions byte-identical; a change that means to alter the order
-# regenerates these and reports the M and round deltas.
+# sha256 of gograph_order(dataset_graph(name), **VARIANTS[variant]).tobytes()
+# (int64 positions) on the six bench graphs. Refactors and speed-ups of the
+# pipeline must keep the positions byte-identical; a change that means to
+# alter the order regenerates these and reports the M and round deltas.
+VARIANTS = {
+    "rabbit": {},
+    "metis": {"partitioner": "metis"},
+    "louvain": {"partitioner": "louvain"},
+    "unpartitioned": {"partitioned": False},
+}
 GOLDEN_POSITIONS = {
-    "IC": "7aac89f2ab3267d9d11c301100f64e1bf179446cfdfe55930b7416a91f32c4b3",
-    "SK": "5252b1ce562f9d44744030af125fa9f9a97f6b8aff452167d0440be885edb3dc",
-    "GL": "99813ddaed8445c8cf26ec0f12b6a5c5ae0c315f4ac77b5850ff6e34765cfc4c",
-    "WK": "5e86484fd7987fbcf51f8af3e1c459ba1a86de1c2fdd7005c97545c64341270d",
-    "CP": "2c948c7cde8231b613b908bb9201d671cd77ec48f8b02a44cf6b27b8639e8e52",
-    "LJ": "c544727929355c1925376e42f822982fbda43429785bf689033b2209e8ae3d73",
+    ("rabbit", "IC"): "7aac89f2ab3267d9d11c301100f64e1bf179446cfdfe55930b7416a91f32c4b3",
+    ("rabbit", "SK"): "5252b1ce562f9d44744030af125fa9f9a97f6b8aff452167d0440be885edb3dc",
+    ("rabbit", "GL"): "99813ddaed8445c8cf26ec0f12b6a5c5ae0c315f4ac77b5850ff6e34765cfc4c",
+    ("rabbit", "WK"): "5e86484fd7987fbcf51f8af3e1c459ba1a86de1c2fdd7005c97545c64341270d",
+    ("rabbit", "CP"): "2c948c7cde8231b613b908bb9201d671cd77ec48f8b02a44cf6b27b8639e8e52",
+    ("rabbit", "LJ"): "c544727929355c1925376e42f822982fbda43429785bf689033b2209e8ae3d73",
+    ("metis", "IC"): "e36eb15791fc34096c01688ea73a4005c8fd4111dfcc3955cd4fd1d319d72487",
+    ("metis", "SK"): "6d20aa62fcb30f8ae0c9278fd7a6693562e2dbc8deb25a90cd9e49d55d142d21",
+    ("metis", "GL"): "72c430e59479342455cec71c33934270fb27df0ca1bc7230f049a8302c0c7967",
+    ("metis", "WK"): "2b0276ed86d64a8125b48f54dfc49dd47a063377b04375903e5c0acf2ca7b713",
+    ("metis", "CP"): "e6f66f6b5b7e964ad5aa0a1bf807c45d4674fbe1c10574585099a3f599dc5ecd",
+    ("metis", "LJ"): "ba1d0e654fe17ceb64a64fb41eb38ca5c80c6d8790aad820bc1e743e848b5d37",
+    ("louvain", "IC"): "cd771d07a4ec98638b80414d2f756669e0c8ef48be44adf12e16d0a1905d4cc3",
+    ("louvain", "SK"): "427bb55fe56e34cf06ef10b489990c308c005e18e94449ac1906da18fff34a6c",
+    ("louvain", "GL"): "9f9370b9e8ffc2e8b7f507df9faa62e6cb70f562bd8b723e4c1c09c3a532aded",
+    ("louvain", "WK"): "a70f977afdb2b28d32630860b3cd76ea8eb6ecd6ebbbd438bc48647b835d69bc",
+    ("louvain", "CP"): "0f5bc2ec0ac7a11d2e16b4e415fc45e8444021afc468241de956b3415b98b8ab",
+    ("louvain", "LJ"): "08a1bc69be9b627233f35dfe9b44a4b058eb46237b76b273d3caf7bf84e54950",
+    ("unpartitioned", "IC"): "8cdd733820735738869e0202060023f4221f26f5301482fed2c158d86b425d6e",
+    ("unpartitioned", "SK"): "6bd64bb3afa50ce1048b724a3ebe02c7784638a516e84ab4bdac3370861aace7",
+    ("unpartitioned", "GL"): "c1e92dc08bffdf1632f89374794011237dc428cb283e97d4629cdfdf05dfa95f",
+    ("unpartitioned", "WK"): "1d09d702056bccf692d8f54ea4a765236233304f7feaed37b65c9e14423027d4",
+    ("unpartitioned", "CP"): "30b4a345bb18f68205cf5fb9649090e619d03547be257ce70f78eb73ce01557b",
+    ("unpartitioned", "LJ"): "5bd6975aa7aa8215332e74ef666fdef0ab1f6dbfa687057df417bd24eb833474",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_POSITIONS))
-def test_golden_positions_on_bench_graphs(name):
-    pos = np.ascontiguousarray(gograph_order(dataset_graph(name)), dtype=np.int64)
-    assert hashlib.sha256(pos.tobytes()).hexdigest() == GOLDEN_POSITIONS[name]
+@pytest.mark.parametrize("variant, name", sorted(GOLDEN_POSITIONS))
+def test_golden_positions_on_bench_graphs(variant, name):
+    pos = gograph_order(dataset_graph(name), **VARIANTS[variant])
+    pos = np.ascontiguousarray(pos, dtype=np.int64)
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == GOLDEN_POSITIONS[variant, name]
 
 
 @pytest.mark.parametrize("seed", range(10))

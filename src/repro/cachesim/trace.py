@@ -18,13 +18,17 @@ STATES_PER_LINE = LINE_BYTES // STATE_BYTES
 
 
 def pagerank_trace(g: LocalGraph, positions: np.ndarray) -> np.ndarray:
-    """Cache-line trace of one PageRank sweep in ``positions`` order."""
-    in_adj = g.in_edges_by_vertex()
-    order = np.argsort(positions, kind="stable")
-    pos = positions
-    out: list[int] = []
-    for v in order.tolist():
-        for u, _ in in_adj[v]:
-            out.append(int(pos[u]) // STATES_PER_LINE)
-        out.append(int(pos[v]) // STATES_PER_LINE)
-    return np.asarray(out, dtype=np.int64)
+    """Cache-line trace of one PageRank sweep in ``positions`` order.
+
+    The vertex at position p reads its in-neighbours' lines (in edge
+    order), then writes its own line. So in-edge j, counted in order of
+    destination position, lands at slot ``j + p``, and p's own line at the
+    number of in-edges up to and including p, plus p.
+    """
+    p_dst = positions[g.dst]
+    by_dst = np.argsort(p_dst, kind="stable")
+    out = np.empty(g.n_edges + g.n, dtype=np.int64)
+    out[np.arange(g.n_edges) + p_dst[by_dst]] = positions[g.src[by_dst]] // STATES_PER_LINE
+    p = np.arange(g.n)
+    out[np.cumsum(np.bincount(p_dst, minlength=g.n)) + p] = p // STATES_PER_LINE
+    return out

@@ -28,41 +28,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.insertion import get_opt_val
-from repro.graphs.local import LocalGraph
+from repro.core.metric import positions_to_spark
+from repro.graphs.local import LocalGraph, bfs_order, order_to_positions
 from repro.partition.api import partition
 
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame, SparkSession
 
 HD_FRAC_DEFAULT = 0.002  # paper: "extract the top 0.2% vertices"
-
-
-def _select_bfs_order(
-    vids: list[int],
-    und: dict[int, set[int]],
-    indeg: dict[int, int],
-) -> list[int]:
-    """Vertex selection order: BFS from min-in-degree seeds (paper §IV-A)."""
-    remaining = set(vids)
-    out: list[int] = []
-    seeds = sorted(vids, key=lambda v: (indeg.get(v, 0), v))
-    seed_i = 0
-    from collections import deque
-
-    while remaining:
-        while seeds[seed_i] not in remaining:
-            seed_i += 1
-        root = seeds[seed_i]
-        q = deque([root])
-        remaining.discard(root)
-        while q:
-            v = q.popleft()
-            out.append(v)
-            for u in sorted(und.get(v, ())):
-                if u in remaining:
-                    remaining.discard(u)
-                    q.append(u)
-    return out
 
 
 def reorder_subgraph(
@@ -97,7 +70,11 @@ def reorder_subgraph(
 
     vals: dict[int, float] = {}
     cur_max = -1.0
-    cand = _select_bfs_order(vids, und, indeg) if selection == "bfs" else vids
+    cand = vids
+    if selection == "bfs":  # BFS from min-in-degree seeds (paper §IV-A)
+        cand = bfs_order(
+            {v: sorted(und[v]) for v in vids}, sorted(vids, key=lambda v: (indeg[v], v))
+        )
     for v in cand:
         nbrs = [
             (vals[u], w_in[v].get(u, 0.0), w_out[v].get(u, 0.0))
@@ -200,10 +177,7 @@ def _vals_to_positions(n: int, vals: dict[int, float]) -> np.ndarray:
     arr = np.full(n, np.inf)
     for v, x in vals.items():
         arr[v] = x
-    order = np.lexsort((np.arange(n), arr))
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    return pos
+    return order_to_positions(np.lexsort((np.arange(n), arr)))
 
 
 def _pipeline(
@@ -279,16 +253,17 @@ def _partition_core(
     seed: int,
 ):
     """Partition the induced core subgraph; return part maps keyed by vid."""
-    remap = {int(v): i for i, v in enumerate(core_vids)}
+    remap = np.empty(g.n, dtype=np.int64)
+    remap[core_vids] = np.arange(len(core_vids))
     sub = LocalGraph(
         n=len(core_vids),
-        src=np.array([remap[int(s)] for s in core_src], dtype=np.int64),
-        dst=np.array([remap[int(d)] for d in core_dst], dtype=np.int64),
+        src=remap[core_src],
+        dst=remap[core_dst],
         w=np.ones(len(core_src)),
         name=f"{g.name}-core",
     )
     parts = partition(sub, partitioner, target_size=target_size, seed=seed)
-    part_of = {int(v): int(parts[remap[int(v)]]) for v in core_vids}
+    part_of = dict(zip(core_vids.tolist(), parts.tolist()))
     part_vids: dict[int, list[int]] = {}
     for v, p in part_of.items():
         part_vids.setdefault(p, []).append(v)
@@ -352,6 +327,4 @@ def gograph_positions_spark(
 
     g = to_local(edges_df, n=n, name="spark-in")
     pos = _pipeline(g, _conquer_spark, partitioner, hd_frac, target_size, seed, True)
-    return spark.createDataFrame(
-        pd.DataFrame({"vid": np.arange(g.n, dtype=np.int64), "pos": pos})
-    )
+    return positions_to_spark(spark, pos)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.algorithms import Algo, Prepared, effective_graph
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, order_to_positions
 
 MAX_ROUNDS = 10_000
 
@@ -348,8 +348,7 @@ def per_round_time(
     eg = effective_graph(g, prep)
     n = eg.n
     vid_at = np.arange(n) if positions is None else np.argsort(positions, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[vid_at] = np.arange(n)
+    rank = order_to_positions(vid_at)
     # edges grouped by destination position, each list in edge-array order
     by_dst = np.argsort(rank[eg.dst], kind="stable")
     in_adj = _in_adj(n, rank[eg.src][by_dst], rank[eg.dst][by_dst], prep.param[by_dst])

@@ -4,12 +4,16 @@ sequential reorder kernels, and the cache simulator.
 ``LocalGraph`` is a plain struct of numpy edge arrays; adjacency builders
 are cached. It is the format the generators produce and every numpy-path
 module (reorderers, partitioners, reference engine, cache simulator)
-consumes. ``to_local`` collects a Spark edge frame (src, dst[, weight])
-into one, for the Spark functions whose driver-side steps need the whole
-graph in memory, which is fine at reproduction scale (≤ ~100k edges).
+consumes, together with the two kernels they share: ``bfs_order`` and
+``order_to_positions``. ``to_local`` collects a Spark edge frame
+(src, dst[, weight]) into one, for the Spark functions whose driver-side
+steps need the whole graph in memory, which is fine at reproduction scale
+(≤ ~100k edges).
 """
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -57,15 +61,6 @@ class LocalGraph:
             )
         return self._cache["outw"]
 
-    def in_edges_by_vertex(self) -> list[list[tuple[int, float]]]:
-        """``adj[v]`` = list of ``(u, w)`` for each edge (u, v)."""
-        if "in_adj" not in self._cache:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for s, d, ww in zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()):
-                adj[d].append((s, ww))
-            self._cache["in_adj"] = adj
-        return self._cache["in_adj"]
-
     def undirected_adj(self) -> list[list[int]]:
         """``adj[v]`` = neighbors of v ignoring direction (with repeats deduped)."""
         if "und_adj" not in self._cache:
@@ -79,6 +74,40 @@ class LocalGraph:
     def highest_out_degree_vertex(self) -> int:
         """Canonical source vertex for SSSP/BFS/PHP (best propagation reach)."""
         return int(np.argmax(self.out_degree()))
+
+
+def bfs_order(
+    adj: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    roots: Iterable[int],
+    members: Collection[int] | None = None,
+) -> list[int]:
+    """Breadth-first visit order, starting from each not-yet-seen root in turn.
+
+    Neighbours are enqueued in ``adj[v]`` order. With ``members`` the walk
+    never steps outside that set. Each vertex appears once.
+    """
+    seen: set[int] = set()
+    order: list[int] = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            order.append(v)
+            for u in adj[v]:
+                if u not in seen and (members is None or u in members):
+                    seen.add(u)
+                    q.append(u)
+    return order
+
+
+def order_to_positions(order) -> np.ndarray:
+    """Inverse permutation: ``pos[order[i]] = i`` (int64)."""
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
+    return pos
 
 
 def to_local(edges_df: DataFrame, n: int | None = None, name: str = "g") -> LocalGraph:

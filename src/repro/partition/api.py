@@ -6,11 +6,9 @@ ones so GoGraph's per-subgraph `applyInPandas` groups stay bounded.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, bfs_order
 from repro.partition.fennel import fennel_parts
 from repro.partition.labelprop import labelprop_communities
 from repro.partition.louvain import louvain_communities
@@ -35,49 +33,24 @@ def cap_sizes(g: LocalGraph, labels: np.ndarray, target_size: int) -> np.ndarray
     for _, vs in sorted(groups.items()):
         if len(vs) > 2 * target_size:
             # BFS-chunk within the community
-            members = set(vs)
-            seen: set[int] = set()
-            chunk: list[int] = []
-            for root in vs:
-                if root in seen:
-                    continue
-                q = deque([root])
-                seen.add(root)
-                while q:
-                    v = q.popleft()
-                    chunk.append(v)
-                    if len(chunk) >= target_size:
-                        for c in chunk:
-                            parts[c] = next_part
-                        next_part += 1
-                        chunk = []
-                    for u in adj[v]:
-                        if u in members and u not in seen:
-                            seen.add(u)
-                            q.append(u)
-            if chunk:
-                for c in chunk:
-                    parts[c] = next_part
-                next_part += 1
+            order = bfs_order(adj, vs, set(vs))
+            parts[order] = next_part + np.arange(len(order)) // target_size
+            next_part = int(parts[order[-1]]) + 1
         elif len(vs) < max(1, target_size // 4):
             small.append(vs)
         else:
-            for v in vs:
-                parts[v] = next_part
+            parts[vs] = next_part
             next_part += 1
     # bin-pack small communities
     bucket: list[int] = []
     for vs in small:
         if bucket and len(bucket) + len(vs) > target_size:
-            for v in bucket:
-                parts[v] = next_part
+            parts[bucket] = next_part
             next_part += 1
             bucket = []
         bucket.extend(vs)
     if bucket:
-        for v in bucket:
-            parts[v] = next_part
-        next_part += 1
+        parts[bucket] = next_part
     assert (parts >= 0).all(), "every vertex must be assigned a part"
     return parts
 

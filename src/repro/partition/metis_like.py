@@ -8,39 +8,17 @@ adjacent chunks), at a fraction of the complexity. DESIGN.md §4.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.graphs.local import LocalGraph
-
-
-def bfs_order(g: LocalGraph, *, start: int | None = None) -> np.ndarray:
-    """Undirected BFS visit order covering all components (then isolates)."""
-    adj = g.undirected_adj()
-    seen = np.zeros(g.n, dtype=bool)
-    order: list[int] = []
-    roots = [start] if start is not None else []
-    roots += sorted(range(g.n), key=lambda v: -len(adj[v]))
-    for r in roots:
-        if seen[r]:
-            continue
-        seen[r] = True
-        q = deque([r])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    q.append(u)
-    return np.asarray(order, dtype=np.int64)
+from repro.graphs.local import LocalGraph, bfs_order, order_to_positions
 
 
 def metis_like_parts(g: LocalGraph, *, target_size: int, seed: int = 0) -> np.ndarray:
-    """Balanced parts of ~``target_size`` via BFS chunking."""
-    order = bfs_order(g)
-    parts = np.empty(g.n, dtype=np.int64)
-    k = max(1, target_size)
-    parts[order] = np.arange(g.n) // k
-    return parts
+    """Balanced parts of ~``target_size`` via BFS chunking.
+
+    The undirected BFS covers every component, starting each new one from
+    the highest-degree unvisited vertex (ties → smaller vid).
+    """
+    adj = g.undirected_adj()
+    order = bfs_order(adj, sorted(range(g.n), key=lambda v: -len(adj[v])))
+    return order_to_positions(order) // max(1, target_size)

@@ -13,13 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.local import LocalGraph
-
-
-def _order_to_positions(order: np.ndarray) -> np.ndarray:
-    pos = np.empty(len(order), dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    return pos
+from repro.graphs.local import LocalGraph, order_to_positions
 
 
 def default_order(g: LocalGraph) -> np.ndarray:
@@ -30,7 +24,7 @@ def default_order(g: LocalGraph) -> np.ndarray:
 def degree_sort(g: LocalGraph) -> np.ndarray:
     """Descending total degree (ties → smaller vid first)."""
     order = np.lexsort((np.arange(g.n), -g.degree()))
-    return _order_to_positions(order)
+    return order_to_positions(order)
 
 
 def hub_sort(g: LocalGraph) -> np.ndarray:
@@ -40,13 +34,13 @@ def hub_sort(g: LocalGraph) -> np.ndarray:
     hub_ids = np.flatnonzero(hubs)
     hub_order = hub_ids[np.lexsort((hub_ids, -deg[hub_ids]))]
     rest = np.flatnonzero(~hubs)
-    return _order_to_positions(np.concatenate([hub_order, rest]))
+    return order_to_positions(np.concatenate([hub_order, rest]))
 
 
 def hub_cluster(g: LocalGraph) -> np.ndarray:
     """Hubs at front in original relative order; non-hubs after."""
     deg = g.degree()
     hubs = deg > deg.mean()
-    return _order_to_positions(
+    return order_to_positions(
         np.concatenate([np.flatnonzero(hubs), np.flatnonzero(~hubs)])
     )

@@ -17,7 +17,7 @@ import heapq
 
 import numpy as np
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, order_to_positions
 
 
 def gorder(g: LocalGraph, *, window: int = 5, hub_cap: int = 512) -> np.ndarray:
@@ -87,6 +87,4 @@ def gorder(g: LocalGraph, *, window: int = 5, hub_cap: int = 512) -> np.ndarray:
                 cursor += 1
             v = by_deg[cursor]
 
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.asarray(order)] = np.arange(n)
-    return pos
+    return order_to_positions(order)

@@ -9,11 +9,9 @@ agnostic (its M/|E| lands near 0.5, like the paper's Rabbit row).
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, bfs_order, order_to_positions
 from repro.partition.labelprop import labelprop_communities
 
 
@@ -26,20 +24,5 @@ def rabbit_order(g: LocalGraph, *, seed: int = 0) -> np.ndarray:
         groups.setdefault(l, []).append(v)
     order: list[int] = []
     for _, vs in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        members = set(vs)
-        seen: set[int] = set()
-        for root in sorted(vs, key=lambda v: -len(adj[v])):
-            if root in seen:
-                continue
-            seen.add(root)
-            q = deque([root])
-            while q:
-                v = q.popleft()
-                order.append(v)
-                for u in adj[v]:
-                    if u in members and u not in seen:
-                        seen.add(u)
-                        q.append(u)
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[np.asarray(order)] = np.arange(g.n)
-    return pos
+        order += bfs_order(adj, sorted(vs, key=lambda v: -len(adj[v])), set(vs))
+    return order_to_positions(order)

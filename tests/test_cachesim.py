@@ -70,6 +70,22 @@ def test_trace_lines_in_range():
     assert t.max() <= (g.n - 1) // STATES_PER_LINE
 
 
+@pytest.mark.parametrize("order", ["identity", "shuffled"])
+@pytest.mark.parametrize("name", ["IC", "CP"])
+def test_trace_matches_sequential_sweep(name, order):
+    """Reference: walk vertices in position order, read each in-edge's
+    source line in edge order, then write the vertex's own line."""
+    g = dataset_graph(name, scale=0.1)
+    pos = np.arange(g.n)
+    if order == "shuffled":
+        pos = np.random.default_rng(3).permutation(g.n)
+    expect = []
+    for v in np.argsort(pos, kind="stable").tolist():
+        expect += [pos[u] // STATES_PER_LINE for u in g.src[g.dst == v].tolist()]
+        expect.append(pos[v] // STATES_PER_LINE)
+    assert np.array_equal(pagerank_trace(g, pos), expect)
+
+
 def test_locality_order_beats_random_order():
     """The substrate must reward neighbor co-location (Fig 9 mechanism)."""
     from repro.core.gograph import gograph_order

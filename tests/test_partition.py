@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro.graphs.gen import community_ba_graph, dataset_graph
+from repro.graphs.local import bfs_order
 from repro.partition.api import PARTITIONERS, cap_sizes, edge_cut, partition
 from repro.partition.labelprop import labelprop_communities
-from repro.partition.metis_like import bfs_order
 
 
 @pytest.mark.parametrize("method", PARTITIONERS)
@@ -105,8 +105,15 @@ def test_cap_sizes_packs_small():
 
 def test_bfs_order_covers_all_vertices():
     g = dataset_graph("IC", scale=0.1)
-    order = bfs_order(g)
-    assert sorted(order.tolist()) == list(range(g.n))
+    order = bfs_order(g.undirected_adj(), range(g.n))
+    assert sorted(order) == list(range(g.n))
+
+
+def test_bfs_order_enqueues_in_adj_order_and_stays_in_members():
+    # 0 - 1 - 2 - 3 path plus 0 - 4; the walk from 3 must not cross into 0
+    adj = {0: [4, 1], 1: [0, 2], 2: [1, 3], 3: [2], 4: [0]}
+    assert bfs_order(adj, [0]) == [0, 4, 1, 2, 3]
+    assert bfs_order(adj, [3, 4], members={1, 2, 3, 4}) == [3, 2, 1, 4]
 
 
 # sha256 of partition(dataset_graph(name), method).tobytes() (int64 part ids,

@@ -253,12 +253,10 @@ def _partition_core(
     seed: int,
 ):
     """Partition the induced core subgraph; return part maps keyed by vid."""
-    remap = np.empty(g.n, dtype=np.int64)
-    remap[core_vids] = np.arange(len(core_vids))
-    sub = LocalGraph(
+    sub = LocalGraph(  # core_vids is sorted, so searchsorted is the vid → index remap
         n=len(core_vids),
-        src=remap[core_src],
-        dst=remap[core_dst],
+        src=np.searchsorted(core_vids, core_src),
+        dst=np.searchsorted(core_vids, core_dst),
         w=np.ones(len(core_src)),
         name=f"{g.name}-core",
     )

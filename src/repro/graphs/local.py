@@ -103,7 +103,7 @@ def bfs_order(
     return order
 
 
-def order_to_positions(order) -> np.ndarray:
+def order_to_positions(order: Sequence[int] | np.ndarray) -> np.ndarray:
     """Inverse permutation: ``pos[order[i]] = i`` (int64)."""
     pos = np.empty(len(order), dtype=np.int64)
     pos[np.asarray(order, dtype=np.int64)] = np.arange(len(order))

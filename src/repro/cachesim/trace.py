@@ -28,7 +28,8 @@ def pagerank_trace(g: LocalGraph, positions: np.ndarray) -> np.ndarray:
     p_dst = positions[g.dst]
     by_dst = np.argsort(p_dst, kind="stable")
     out = np.empty(g.n_edges + g.n, dtype=np.int64)
-    out[np.arange(g.n_edges) + p_dst[by_dst]] = positions[g.src[by_dst]] // STATES_PER_LINE
+    src_line = positions[g.src[by_dst]] // STATES_PER_LINE
+    out[np.arange(g.n_edges) + p_dst[by_dst]] = src_line
     p = np.arange(g.n)
     out[np.cumsum(np.bincount(p_dst, minlength=g.n)) + p] = p // STATES_PER_LINE
     return out

@@ -1,6 +1,8 @@
 """Tests for the local reference engine: correctness oracles and the
 paper's theoretical claims (monotonicity, Lemma 1 / Theorem 1 behavior).
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -340,3 +342,73 @@ def test_sweep_semantics(kind, order, in_adj, x, eq1, fixed, expect):
 def test_sweep_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sweep("prod", [0], {0: []}, [0.0], [0.0], [0.0], set())
+
+
+def _run_hash(h, r) -> None:
+    h.update(f"{r.rounds} {r.converged}".encode())
+    for a in (r.deltas, r.sums, r.x):
+        h.update(np.asarray(a).tobytes())
+
+
+# sha256, per graph and algorithm, over jacobi, jacobi(max_rounds=5), fixpoint
+# and gauss_seidel under the default and the GoGraph order, on the six bench
+# graphs at scale 0.1. Each run adds its rounds, converged, deltas, sums and
+# x. Refactors of the engine must keep these byte-identical.
+GOLDEN_ENGINE = {
+    ("IC", "bfs"): "5d8c2c6eddae686526fefea1ea38afbfbd633d5775f5a11d3e3ab46f5dbf6a47",
+    ("IC", "cc"): "3b7c34a4740b6afdf5182a500a31f90d5f4764bca6dd9914c2a557deabda97e6",
+    ("IC", "pagerank"): "4d8e63c6572aaeacda05e0bb49cdd23f118ef1f000f6a9ed2e85482a704de774",
+    ("IC", "php"): "3db43a11721e786f78dad5c6f5e153f9b40c2bc0905bbfeb63608927f3b77054",
+    ("IC", "sssp"): "08aba402486f6890af3095d707238e37a4f22ae90fbd69a2572c90641a977959",
+    ("IC", "sswp"): "8999390902bf0eaa5f7ba7197daf84f16bcc3518beead3649f55f624d1f560d4",
+    ("SK", "bfs"): "d1413f1135f2192c6ecd4f0584e952419f5c3936627c6af2c810c1e721155442",
+    ("SK", "cc"): "51015327245e8d3b692cee46f7036b9369e0bbcef76dc1392e15bdecf76986d5",
+    ("SK", "pagerank"): "5bfd3442000abd88be7f5d85fe6bf46b0f126ae900c75b01d15f761fd618c7bf",
+    ("SK", "php"): "c19d132ff260956d029c49ee6e1d0558066f9b39eae882f4e45ad4e82625930d",
+    ("SK", "sssp"): "f4f1eb7a11f00a540c0a88a339872da0ec5e3959004ea1a60c2e6a08980095b6",
+    ("SK", "sswp"): "48612303dabba5a31aa883f0c9fa6043312e1c7d929c13d7148a5fffffef36c4",
+    ("GL", "bfs"): "1d9495f259f28b1dcda3a811a6be41959e887e25d3d7bd743446229e7024360d",
+    ("GL", "cc"): "40d688f294e86b1feb6fa326b79e6ecd4ccafdb980f44d6d9d48bb301db55ff8",
+    ("GL", "pagerank"): "7bbac16745fbbcb34edf057946da4bbc27fa96090330716ac9c3bea8d03ab319",
+    ("GL", "php"): "438ce85c76391b95c6684c2973a892dfeed3fe77592581494aa8550d0e748ad3",
+    ("GL", "sssp"): "a102af59ed9328e8fe17e1134f7d7ad0691e793bf0bd98854c7e5d69bc8601fa",
+    ("GL", "sswp"): "0accff162c7be091d5d1a40dd993f6432c290bab8845ed88e35cc0b9b72b5e0a",
+    ("WK", "bfs"): "8960e74d5427e384acafa170bddc9309ebf110d61a6403e8cffb35b1e76dd697",
+    ("WK", "cc"): "14658d77dfdd06f8af93a87699125541c493552a4ea2433fd050a1b2bffe2825",
+    ("WK", "pagerank"): "9bd932d1f95538b08d64f735e5722b9f619af2c99eeac99bc231d750b02e9e64",
+    ("WK", "php"): "966290640b5051cf078eb7492acc9572dd73e2e89c8db6deebb8d0fbad0bb888",
+    ("WK", "sssp"): "58b07c4912b204f8647cc22ae8b7e5799a853df7fae66273e43454111c0db29e",
+    ("WK", "sswp"): "c3cf85b48e8e91c88c80b167a1116217bc0d8c66c5b295f577c4aa51915a6af7",
+    ("CP", "bfs"): "a0d248bc6d8a4cbf0f2783d4bde5bceb8dd90f4936a228e53eefb5ce1ab06a98",
+    ("CP", "cc"): "04e14de68a4970b7cd73de6fb3cbcf7b3bdaae50a5c08361ad6870fa524bc6b9",
+    ("CP", "pagerank"): "921ed0ef1bc89ab2033615ac342bab224cc29a8301eefe0e066615c1b772ca65",
+    ("CP", "php"): "e8a6bab983f8670813ab7d0c328e5e5e7ae7b3b71f85c89d718aa5a423a7a06f",
+    ("CP", "sssp"): "926a06945fea427565a081b2322a118e9c28ca3e4c2391f609f0e4618b490d71",
+    ("CP", "sswp"): "4aa6e42f7002d10c3c1d65a7775883197c618d4334b932003236ae5bbaa78f11",
+    ("LJ", "bfs"): "4e941c0f8d166b9bafe7602a2436c140c803bef7345a25fd6eb8a2914038faf1",
+    ("LJ", "cc"): "f599919eb26df38a4c02fefb795ae804ccac642b2c17e1f48f8c461aef2a0763",
+    ("LJ", "pagerank"): "a4d8cba5cdb8aad37f97a22c60f42219eb1b64b1692b2c5ac509b10cef688edd",
+    ("LJ", "php"): "6293f728a28c756f24f20e57867ce4a6c3e14870c9a6c1a6713e35dc02ef63a3",
+    ("LJ", "sssp"): "44dc0b0140e63ee1bcd96f1e440cac7ec25921000164a348e6c8c0a8ca37c748",
+    ("LJ", "sswp"): "122116c84b32bf8a6671e5dc3eab064f40f17a8eb5c44e09984ff486859995b6",
+}
+
+
+@pytest.mark.parametrize("name", ["IC", "SK", "GL", "WK", "CP", "LJ"])
+def test_golden_engine_outputs(name):
+    from repro.reorder.api import compute_order
+
+    g = dataset_graph(name, scale=0.1)
+    orders = [compute_order(g, m) for m in ("default", "gograph")]
+    got = {}
+    for algo_name in sorted(ALGOS):
+        algo = make_algo(algo_name)
+        h = hashlib.sha256()
+        _run_hash(h, jacobi(g, algo))
+        _run_hash(h, jacobi(g, algo, max_rounds=5))
+        h.update(fixpoint(g, algo).tobytes())
+        for pos in orders:
+            _run_hash(h, gauss_seidel(g, algo, pos))
+        got[algo_name] = h.hexdigest()
+    want = {a: v for (n, a), v in GOLDEN_ENGINE.items() if n == name}
+    assert got == want

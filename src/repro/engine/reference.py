@@ -15,7 +15,10 @@ Semantics:
 
 :func:`sweep` is that sequential loop, and the only one: the
 ``impl="python"`` engine, :func:`per_round_time` and the Spark async
-engine's per-block step all call it.
+engine's per-block step all call it. :func:`_level_step` is the one
+vectorized round, and Eq. 1 is its single-level case. :func:`_rounds` is
+the one round loop: ``jacobi``, ``fixpoint`` and both ``gauss_seidel``
+implementations run their rounds through it.
 
 A round is counted iff its max state change exceeds the algorithm's
 tolerance (the final detection sweep is not counted; DESIGN.md §4).
@@ -41,7 +44,6 @@ class RunResult:
     x: np.ndarray
     converged: bool
     deltas: list[float]
-    elapsed_s: float
     sums: list[float] = None  # Σ of finite states after each counted round
 
 
@@ -114,28 +116,16 @@ def _in_adj(
     return in_adj
 
 
-def jacobi(
-    g: LocalGraph, algo: Algo, *, source: int | None = None, max_rounds: int = MAX_ROUNDS
-) -> RunResult:
-    """Synchronous (Eq. 1) iteration, vectorized with numpy."""
-    prep = algo.prepare(g, source)
-    return _jacobi_loop(prep, effective_graph(g, prep), prep.tol, max_rounds)
+def _rounds(step, x: np.ndarray, tol: float, max_rounds: int) -> RunResult:
+    """The round loop: ``x = step(x)`` until the max state change is ≤ ``tol``.
 
-
-def _jacobi_loop(prep: Prepared, eg: LocalGraph, tol: float, max_rounds: int) -> RunResult:
-    """Eq. 1 rounds from ``prep.init`` until the max state change is ≤ ``tol``."""
-    t0 = time.perf_counter()
-    x = prep.init.copy()
-    fixed_idx = np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))
-    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
+    ``step`` returns the next state without writing into its argument.
+    """
     deltas: list[float] = []
     sums: list[float] = []
-    rounds = 0
     converged = False
     for _ in range(max_rounds):
-        xn = _jacobi_step_arrays(x, eg, prep)
-        if len(fixed_idx):
-            xn[fixed_idx] = fixed_val
+        xn = step(x)
         d = _delta(x, xn)
         x = xn
         if d <= tol:
@@ -143,24 +133,100 @@ def _jacobi_loop(prep: Prepared, eg: LocalGraph, tol: float, max_rounds: int) ->
             break
         deltas.append(d)
         sums.append(_finite_sum(x))
-        rounds += 1
-    return RunResult(rounds, x, converged, deltas, time.perf_counter() - t0, sums)
+    return RunResult(len(deltas), x, converged, deltas, sums)
 
 
-def _jacobi_step_arrays(x: np.ndarray, eg: LocalGraph, prep: Prepared) -> np.ndarray:
-    if prep.kind == "sum":
-        msg = x[eg.src] * prep.param
-        msg[~np.isfinite(msg)] = 0.0
-        return prep.base + np.bincount(eg.dst, weights=msg, minlength=eg.n)
-    if prep.kind == "min":
-        xn = x.copy()
-        np.minimum.at(xn, eg.dst, x[eg.src] + prep.param)
-        return xn
-    if prep.kind == "maxmin":
-        xn = x.copy()
-        np.maximum.at(xn, eg.dst, np.minimum(x[eg.src], prep.param))
-        return xn
-    raise ValueError(prep.kind)
+def _level_step(prep: Prepared, eg: LocalGraph, positions: np.ndarray | None = None):
+    """The vectorized round: Eq. 2 under ``positions``, Eq. 1 if ``None``.
+
+    A sequential in-position sweep is equivalent to processing vertices
+    level by level, where ``level(v) = 1 + max(level(u))`` over positive
+    in-edges (u, v) (0 if none): when a level is processed, every
+    positive in-neighbor (smaller position → strictly smaller level) has
+    already received its this-round value, and every negative in-neighbor
+    contributes its previous-round value — exactly the sequential
+    semantics, since a vertex's update never depends on same-level
+    vertices. Each level is one numpy scatter over its in-edge slice,
+    turning the O(|E|) Python loop into ~#levels numpy ops per round.
+    Eq. 1 is the case with no positive edge: every vertex shares position
+    0, so there is one level and every in-neighbor reads its previous-round
+    value.
+    """
+    n = eg.n
+    pos = np.zeros(n, dtype=np.int64) if positions is None else positions
+    positive = pos[eg.src] < pos[eg.dst]
+
+    # level(v) over the positive-edge DAG: positive edges in destination
+    # position order, so each source's level is final before it is read
+    p_src, p_dst = eg.src[positive], eg.dst[positive]
+    by_dst = np.argsort(pos[p_dst], kind="stable")
+    level_of = [0] * n
+    for u, v in zip(p_src[by_dst].tolist(), p_dst[by_dst].tolist()):
+        if level_of[u] >= level_of[v]:
+            level_of[v] = level_of[u] + 1
+    level = np.array(level_of, dtype=np.int64)
+
+    # vertices relabelled by level, so that level L is the slice
+    # [v_bounds[L], v_bounds[L + 1]); edges grouped by destination level
+    by_level = np.argsort(level, kind="stable")
+    rank = order_to_positions(by_level)
+    n_levels = int(level.max(initial=0)) + 1
+    v_bounds = np.searchsorted(level[by_level], np.arange(n_levels + 1))
+    dst_level = level[eg.dst]
+    edge_order = np.argsort(dst_level, kind="stable")
+    e_bounds = np.searchsorted(dst_level[edge_order], np.arange(n_levels + 1))
+    # a positive edge reads its source's this-round slot n + u, a negative
+    # one its previous-round slot u, of the [previous | this round] buffer
+    e_read = (rank[eg.src] + n * positive)[edge_order]
+    e_dst = (rank[eg.dst] - v_bounds[dst_level])[edge_order]  # offset within its level
+    e_param = prep.param[edge_order]
+    base = prep.base[by_level]
+    fixed_idx = rank[np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))]
+    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
+    kind = prep.kind
+
+    def step(x_prev: np.ndarray) -> np.ndarray:
+        x_lvl = x_prev[by_level]
+        buf = np.concatenate((x_lvl, x_lvl))
+        x = buf[n:]  # this round's states, updated in place level by level
+        for L in range(n_levels):
+            lo, hi = e_bounds[L], e_bounds[L + 1]
+            vlo, vhi = v_bounds[L], v_bounds[L + 1]
+            src_val = buf[e_read[lo:hi]]
+            d = e_dst[lo:hi]
+            x_l = x[vlo:vhi]
+            if kind == "sum":
+                msg = src_val * e_param[lo:hi]
+                msg[~np.isfinite(msg)] = 0.0
+                x_l[:] = base[vlo:vhi] + np.bincount(d, weights=msg, minlength=vhi - vlo)
+            elif kind == "min":
+                np.minimum.at(x_l, d, src_val + e_param[lo:hi])
+            elif kind == "maxmin":
+                np.maximum.at(x_l, d, np.minimum(src_val, e_param[lo:hi]))
+            else:
+                raise ValueError(kind)
+            # re-clamp before any later level reads these values
+            x[fixed_idx] = fixed_val
+        out = np.empty(n)
+        out[by_level] = x
+        return out
+
+    return step
+
+
+def jacobi(
+    g: LocalGraph, algo: Algo, *, source: int | None = None, max_rounds: int = MAX_ROUNDS
+) -> RunResult:
+    """Synchronous (Eq. 1) iteration, vectorized with numpy."""
+    prep = algo.prepare(g, source)
+    return _rounds(_level_step(prep, effective_graph(g, prep)), prep.init, prep.tol, max_rounds)
+
+
+def fixpoint(g: LocalGraph, algo: Algo, *, source: int | None = None) -> np.ndarray:
+    """Converged state x* (tight-tolerance Jacobi) — oracle for tests."""
+    prep = algo.prepare(g, source)
+    step = _level_step(prep, effective_graph(g, prep))
+    return _rounds(step, prep.init, prep.tol / 1e3, MAX_ROUNDS).x
 
 
 def gauss_seidel(
@@ -175,147 +241,23 @@ def gauss_seidel(
     """Asynchronous (Eq. 2) iteration under ``positions`` (vid → ordinal).
 
     ``impl='python'`` is the literal sequential sweep; ``impl='fast'`` is
-    the vectorized level-synchronous equivalent (see
-    :func:`gauss_seidel_fast`) — tests assert they produce identical
-    rounds and states.
+    the vectorized level-synchronous equivalent (see :func:`_level_step`)
+    — tests assert they produce the same rounds and states.
     """
-    if impl == "fast":
-        return gauss_seidel_fast(
-            g, algo, positions, source=source, max_rounds=max_rounds
-        )
     prep = algo.prepare(g, source)
     eg = effective_graph(g, prep)
-    t0 = time.perf_counter()
+    if impl == "fast":
+        return _rounds(_level_step(prep, eg, positions), prep.init, prep.tol, max_rounds)
     order = np.argsort(positions, kind="stable").tolist()
     in_adj = _in_adj(eg.n, eg.src, eg.dst, prep.param)
     base = prep.base.tolist()
-    x = prep.init.tolist()
-    deltas: list[float] = []
-    sums: list[float] = []
-    rounds = 0
-    converged = False
-    for _ in range(max_rounds):
-        xp = x.copy()
-        sweep(prep.kind, order, in_adj, x, x, base, prep.fixed)
-        d = _delta(np.asarray(xp), np.asarray(x))
-        if d <= prep.tol:
-            converged = True
-            break
-        deltas.append(d)
-        sums.append(_finite_sum(np.asarray(x)))
-        rounds += 1
-    return RunResult(
-        rounds, np.asarray(x), converged, deltas, time.perf_counter() - t0, sums
-    )
 
+    def step(x: np.ndarray) -> np.ndarray:
+        xs = x.tolist()
+        sweep(prep.kind, order, in_adj, xs, xs, base, prep.fixed)
+        return np.asarray(xs)
 
-def fixpoint(g: LocalGraph, algo: Algo, *, source: int | None = None) -> np.ndarray:
-    """Converged state x* (tight-tolerance Jacobi) — oracle for tests."""
-    prep = algo.prepare(g, source)
-    return _jacobi_loop(prep, effective_graph(g, prep), prep.tol / 1e3, MAX_ROUNDS).x
-
-
-def gauss_seidel_fast(
-    g: LocalGraph,
-    algo: Algo,
-    positions: np.ndarray,
-    *,
-    source: int | None = None,
-    max_rounds: int = MAX_ROUNDS,
-) -> RunResult:
-    """Vectorized Eq. 2 sweep via levels of the positive-edge DAG.
-
-    A sequential in-position sweep is equivalent to processing vertices
-    level by level, where ``level(v) = 1 + max(level(u))`` over positive
-    in-edges (u, v) (0 if none): when a level is processed, every
-    positive in-neighbor (smaller position → strictly smaller level) has
-    already received its this-round value, and every negative in-neighbor
-    contributes its previous-round value — exactly the sequential
-    semantics, since a vertex's update never depends on same-level
-    vertices. Each level is one numpy scatter over its in-edge slice,
-    turning the O(|E|) Python loop into ~#levels numpy ops per round.
-    Parity with the ``python`` implementation is asserted in tests.
-    """
-    prep = algo.prepare(g, source)
-    eg = effective_graph(g, prep)
-    t0 = time.perf_counter()
-    n = eg.n
-    pos = positions
-    positive = pos[eg.src] < pos[eg.dst]
-
-    # level(v) over the positive-edge DAG, computed in position order
-    order = np.argsort(pos, kind="stable")
-    level = np.zeros(n, dtype=np.int64)
-    in_adj_pos: list[list[int]] = [[] for _ in range(n)]
-    for e, (s, d) in enumerate(zip(eg.src.tolist(), eg.dst.tolist())):
-        if positive[e]:
-            in_adj_pos[d].append(s)
-    for v in order.tolist():
-        lv = 0
-        for u in in_adj_pos[v]:
-            lu = level[u] + 1
-            if lu > lv:
-                lv = lu
-        level[v] = lv
-
-    # group edges and vertices by destination level
-    dst_level = level[eg.dst]
-    edge_order = np.argsort(dst_level, kind="stable")
-    e_src = eg.src[edge_order]
-    e_dst = eg.dst[edge_order]
-    e_param = prep.param[edge_order]
-    e_pos = positive[edge_order]
-    n_levels = int(level.max(initial=0)) + 1
-    e_bounds = np.searchsorted(dst_level[edge_order], np.arange(n_levels + 1))
-    vert_level_order = np.argsort(level, kind="stable")
-    v_bounds = np.searchsorted(level[vert_level_order], np.arange(n_levels + 1))
-
-    fixed_idx = np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))
-    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
-    fixed_mask = np.zeros(n, dtype=bool)
-    fixed_mask[fixed_idx] = True
-
-    x = prep.init.copy()
-    deltas: list[float] = []
-    sums: list[float] = []
-    rounds = 0
-    converged = False
-    kind = prep.kind
-    for _ in range(max_rounds):
-        x_prev = x.copy()
-        for L in range(n_levels):
-            lo, hi = e_bounds[L], e_bounds[L + 1]
-            vlo, vhi = v_bounds[L], v_bounds[L + 1]
-            verts = vert_level_order[vlo:vhi]
-            if hi > lo:
-                s = e_src[lo:hi]
-                src_val = np.where(e_pos[lo:hi], x[s], x_prev[s])
-                d = e_dst[lo:hi]
-                if kind == "sum":
-                    msg = src_val * e_param[lo:hi]
-                    msg[~np.isfinite(msg)] = 0.0
-                    acc = np.bincount(d, weights=msg, minlength=n)
-                    x[verts] = prep.base[verts] + acc[verts]
-                elif kind == "min":
-                    np.minimum.at(x, d, src_val + e_param[lo:hi])
-                elif kind == "maxmin":
-                    np.maximum.at(x, d, np.minimum(src_val, e_param[lo:hi]))
-                else:
-                    raise ValueError(kind)
-            elif kind == "sum" and len(verts):
-                # no in-edges into this level → sum semantics reset to base
-                x[verts] = prep.base[verts]
-            if len(fixed_idx):
-                # re-clamp before any later level reads these values
-                x[fixed_idx] = fixed_val
-        dlt = _delta(x_prev, x)
-        if dlt <= prep.tol:
-            converged = True
-            break
-        deltas.append(dlt)
-        sums.append(_finite_sum(x))
-        rounds += 1
-    return RunResult(rounds, x, converged, deltas, time.perf_counter() - t0, sums)
+    return _rounds(step, prep.init, prep.tol, max_rounds)
 
 
 def per_round_time(

@@ -23,8 +23,6 @@ the round, and :func:`spark_sync.iterate` reads the round's delta from it.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -46,7 +44,6 @@ def run_async_spark(
     max_rounds: int = 300,
 ) -> RunResult:
     """Run Eq. 2 under ``positions`` to convergence."""
-    t0 = time.perf_counter()
     prep, eg, fixed = prepare(g, algo_name, source)
     kind = prep.kind
     pos = positions.astype(np.int64)
@@ -95,4 +92,4 @@ def run_async_spark(
             states = checkpoint(states.where(rest).unionByName(updated))
         return states
 
-    return iterate(states, step, prep.tol, max_rounds, t0)
+    return iterate(states, step, prep.tol, max_rounds)

@@ -12,7 +12,6 @@ detection sweep is not counted), so tests can assert equal rounds.
 """
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -72,7 +71,7 @@ def checkpoint(states: DataFrame) -> DataFrame:
 
 
 def iterate(
-    states: DataFrame, step: Callable[[DataFrame], DataFrame], tol: float, max_rounds: int, t0: float
+    states: DataFrame, step: Callable[[DataFrame], DataFrame], tol: float, max_rounds: int
 ) -> RunResult:
     """Run ``step`` (states → checkpointed states with ``vid``, ``val`` and
     ``d``) until the largest per-vertex change ``d`` is ≤ ``tol``."""
@@ -88,7 +87,7 @@ def iterate(
         deltas.append(float(d))
         rounds += 1
     pdf = states.select("vid", "val").toPandas().sort_values("vid")
-    return RunResult(rounds, pdf["val"].to_numpy(), converged, deltas, time.perf_counter() - t0)
+    return RunResult(rounds, pdf["val"].to_numpy(), converged, deltas)
 
 
 def run_sync_spark(
@@ -100,7 +99,6 @@ def run_sync_spark(
     max_rounds: int = 300,
 ) -> RunResult:
     """Run Eq. 1 to convergence; returns rounds and final states."""
-    t0 = time.perf_counter()
     prep, eg, fixed = prepare(g, algo_name, source)
     vid = np.arange(g.n, dtype=np.int64)
     edges = frame(spark, src=eg.src, dst=eg.dst, param=prep.param)
@@ -118,4 +116,4 @@ def run_sync_spark(
             vertices.join(agg, vertices.vid == agg.dst, "left").join(states, "vid").select(*out)
         )
 
-    return iterate(frame(spark, vid=vid, val=prep.init), step, prep.tol, max_rounds, t0)
+    return iterate(frame(spark, vid=vid, val=prep.init), step, prep.tol, max_rounds)

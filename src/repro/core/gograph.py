@@ -68,19 +68,23 @@ def reorder_subgraph(
         und[d].add(s)
         indeg[d] += 1
 
-    vals: dict[int, float] = {}
-    cur_max = -1.0
     cand = vids
     if selection == "bfs":  # BFS from min-in-degree seeds (paper §IV-A)
         cand = bfs_order(
             {v: sorted(und[v]) for v in vids}, sorted(vids, key=lambda v: (indeg[v], v))
         )
+    return _insert_greedily(cand, und, w_in, w_out, {})
+
+
+def _insert_greedily(cand, nbrs_of, w_in, w_out, vals: dict[int, float]) -> dict[int, float]:
+    """Give each candidate in turn the val ``get_opt_val`` picks among its
+    placed neighbours ``nbrs_of[v]`` (listed in the order that breaks its
+    ties; ``w_in[v][u]``/``w_out[v][u]`` weigh edge u→v/v→u). Extends and
+    returns ``vals``."""
+    cur_max = max(vals.values(), default=-1.0)
     for v in cand:
-        nbrs = [
-            (vals[u], w_in[v].get(u, 0.0), w_out[v].get(u, 0.0))
-            for u in und[v]
-            if u in vals
-        ]
+        wi, wo = w_in[v], w_out[v]
+        nbrs = [(vals[u], wi.get(u, 0.0), wo.get(u, 0.0)) for u in nbrs_of[v] if u in vals]
         val, _ = get_opt_val(nbrs, empty_val=cur_max + 1.0)
         vals[v] = val
         cur_max = max(cur_max, val)
@@ -146,30 +150,19 @@ def _insert_remaining(
     iso_mask: np.ndarray,
 ) -> dict[int, float]:
     """Insert high-degree (degree-descending) then isolated vertices."""
-    w_in: dict[int, dict[int, float]] = {}
-    w_out: dict[int, dict[int, float]] = {}
+    deg = g.degree()
+    hd_list = sorted(np.flatnonzero(hd_mask).tolist(), key=lambda v: (-deg[v], v))
+    cand = hd_list + sorted(np.flatnonzero(iso_mask).tolist())
+    w_in: dict[int, dict[int, float]] = {v: {} for v in cand}
+    w_out: dict[int, dict[int, float]] = {v: {} for v in cand}
     special = hd_mask | iso_mask
     for s, d in zip(g.src.tolist(), g.dst.tolist()):
         if special[s]:
-            w_out.setdefault(s, {})[d] = w_out.setdefault(s, {}).get(d, 0.0) + 1.0
+            w_out[s][d] = w_out[s].get(d, 0.0) + 1.0
         if special[d]:
-            w_in.setdefault(d, {})[s] = w_in.setdefault(d, {}).get(s, 0.0) + 1.0
-    deg = g.degree()
-    cur_max = max(vals.values(), default=-1.0)
-    hd_list = sorted(np.flatnonzero(hd_mask).tolist(), key=lambda v: (-deg[v], v))
-    iso_list = sorted(np.flatnonzero(iso_mask).tolist())
-    for v in hd_list + iso_list:
-        wi, wo = w_in.get(v, {}), w_out.get(v, {})
-        nbr_ids = (set(wi) | set(wo)) - {v}
-        nbrs = [
-            (vals[u], wi.get(u, 0.0), wo.get(u, 0.0))
-            for u in sorted(nbr_ids)
-            if u in vals
-        ]
-        val, _ = get_opt_val(nbrs, empty_val=cur_max + 1.0)
-        vals[v] = val
-        cur_max = max(cur_max, val)
-    return vals
+            w_in[d][s] = w_in[d].get(s, 0.0) + 1.0
+    nbrs_of = {v: sorted((w_in[v].keys() | w_out[v].keys()) - {v}) for v in cand}
+    return _insert_greedily(cand, nbrs_of, w_in, w_out, vals)
 
 
 def _vals_to_positions(n: int, vals: dict[int, float]) -> np.ndarray:

@@ -209,18 +209,36 @@ def test_round_counting_excludes_detection_sweep():
     assert r.rounds == 1 and r.converged
 
 
-@pytest.mark.parametrize("method", ["default", "gograph", "rabbit", "gorder"])
-@pytest.mark.parametrize("name", ["IC", "SK", "GL", "WK", "CP", "LJ"])
-def test_eq2_rounds_equal_negative_depth_of_shortest_path_dag(name, method):
+def negative_depth(g: LocalGraph, algo, pos: np.ndarray, source: int) -> int:
     """Eq. 2 round-count oracle for BFS and SSSP (Yen, Q. Appl. Math. 1970).
 
     A sweep in a fixed order carries a distance along any run of positive
     edges, so each negative edge on a shortest path costs one more sweep.
     On the shortest-path DAG of x*, weight an edge 1 if it is negative
     (pos[s] > pos[d]) and not out of the source, whose state is final
-    before round 1; otherwise 0. The counted rounds are then 1 + the
-    largest 0-1 distance from the source.
+    before round 1; otherwise 0. The counted rounds of Eq. 2 under ``pos``
+    are then 1 + the largest 0-1 distance from the source, returned here.
     """
+    x = fixpoint(g, algo, source=source)
+    param = algo.prepare(g, source).param
+    tight = np.isfinite(x[g.src]) & (x[g.dst] == x[g.src] + param)
+    s, d = g.src[tight], g.dst[tight]
+    w = ((pos[s] > pos[d]) & (s != source)).astype(float)
+    depth = np.full(g.n, np.inf)
+    depth[source] = 0.0
+    while True:  # Bellman-Ford over the 0-1 weights
+        nd = depth.copy()
+        np.minimum.at(nd, d, depth[s] + w)
+        if np.array_equal(nd, depth):
+            break
+        depth = nd
+    return int(depth[np.isfinite(depth)].max())
+
+
+@pytest.mark.parametrize("method", ["default", "gograph", "rabbit", "gorder"])
+@pytest.mark.parametrize("name", ["IC", "SK", "GL", "WK", "CP", "LJ"])
+def test_eq2_rounds_equal_negative_depth_of_shortest_path_dag(name, method):
+    """Eq. 2 rounds are 1 + :func:`negative_depth` for BFS and SSSP."""
     from repro.reorder.api import compute_order
 
     g = dataset_graph(name, scale=0.1)
@@ -228,22 +246,9 @@ def test_eq2_rounds_equal_negative_depth_of_shortest_path_dag(name, method):
     source = g.highest_out_degree_vertex()
     for algo_name in ("bfs", "sssp"):
         algo = make_algo(algo_name)
-        x = fixpoint(g, algo, source=source)
-        param = algo.prepare(g, source).param
-        tight = np.isfinite(x[g.src]) & (x[g.dst] == x[g.src] + param)
-        s, d = g.src[tight], g.dst[tight]
-        w = ((pos[s] > pos[d]) & (s != source)).astype(float)
-        depth = np.full(g.n, np.inf)
-        depth[source] = 0.0
-        while True:  # Bellman-Ford over the 0-1 weights
-            nd = depth.copy()
-            np.minimum.at(nd, d, depth[s] + w)
-            if np.array_equal(nd, depth):
-                break
-            depth = nd
         r = gauss_seidel(g, algo, pos, source=source)
         assert r.converged
-        assert r.rounds == 1 + int(depth[np.isfinite(depth)].max()), algo_name
+        assert r.rounds == 1 + negative_depth(g, algo, pos, source), algo_name
 
 
 def test_per_round_time_positive_and_stable():

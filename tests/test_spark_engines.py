@@ -17,6 +17,7 @@ from repro.engine.spark_async import run_async_spark
 from repro.engine.spark_sync import run_sync_spark
 from repro.graphs.gen import ba_graph, dataset_graph
 from repro.reorder.api import compute_order
+from tests.test_reference_engine import negative_depth
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +108,9 @@ def test_bfs_parity_and_job_counts_on_ic(spark):
     """Parity beyond 100 vertices, on spark-ic's graph (IC at scale 0.5).
 
     Rounds, per-round deltas and states equal the reference engine's
-    exactly. The job counts are exact too: they are what each run's
-    dataflow launches, so one more join per block-step or per round
-    changes them.
+    exactly, and the async rounds equal the Eq. 2 round oracle's. The job
+    counts are exact too: they are what each run's dataflow launches, so
+    one more join per block-step or per round changes them.
     """
     g = dataset_graph("IC", scale=0.5)
     pos = gograph_order(g)
@@ -128,4 +129,5 @@ def test_bfs_parity_and_job_counts_on_ic(spark):
         assert got.rounds == ref.rounds
         assert got.deltas == ref.deltas
         assert np.array_equal(got.x, ref.x)
+    assert asyn.rounds == 1 + negative_depth(g, bfs, pos, g.highest_out_degree_vertex())
     assert (sync_jobs, async_jobs) == (76, 63)

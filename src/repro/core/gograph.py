@@ -111,30 +111,29 @@ def _split_graph(
 
 
 def _order_supers_and_offsets(
-    part_of: dict[int, int],
+    part_vids: dict[int, list[int]],
     vals: dict[int, float],
-    core_src: np.ndarray,
-    core_dst: np.ndarray,
+    src_part: np.ndarray,
+    dst_part: np.ndarray,
 ) -> dict[int, float]:
-    """Combine phase: order super-vertices, return global vid → val."""
+    """Combine phase: order super-vertices, return global vid → val.
+
+    ``src_part``/``dst_part`` are the parts of each core edge's endpoints.
+    """
     # weighted super edges (inter-part edge counts)
-    sedges: dict[tuple[int, int], float] = {}
-    for s, d in zip(core_src.tolist(), core_dst.tolist()):
-        ps, pd_ = part_of[s], part_of[d]
-        if ps != pd_:
-            sedges[(ps, pd_)] = sedges.get((ps, pd_), 0.0) + 1.0
-    part_ids = sorted(set(part_of.values()))
+    cross = src_part != dst_part
+    sedges, counts = np.unique(
+        np.stack((src_part[cross], dst_part[cross]), axis=1), axis=0, return_counts=True
+    )
+    part_ids = sorted(part_vids)
     svals = reorder_subgraph(
-        part_ids, [(a, b, w) for (a, b), w in sedges.items()]
+        part_ids, [(a, b, float(c)) for (a, b), c in zip(sedges.tolist(), counts.tolist())]
     )
     # decompress: shift each part's vals past the previous part's max
-    members: dict[int, list[int]] = {p: [] for p in part_ids}
-    for v, p in part_of.items():
-        members[p].append(v)
     out: dict[int, float] = {}
     offset = 0.0
     for p in sorted(part_ids, key=lambda q: (svals[q], q)):
-        vs = members[p]
+        vs = part_vids[p]
         lo = min(vals[v] for v in vs)
         hi = max(vals[v] for v in vs)
         for v in vs:
@@ -156,11 +155,11 @@ def _insert_remaining(
     w_in: dict[int, dict[int, float]] = {v: {} for v in cand}
     w_out: dict[int, dict[int, float]] = {v: {} for v in cand}
     special = hd_mask | iso_mask
-    for s, d in zip(g.src.tolist(), g.dst.tolist()):
-        if special[s]:
-            w_out[s][d] = w_out[s].get(d, 0.0) + 1.0
-        if special[d]:
-            w_in[d][s] = w_in[d].get(s, 0.0) + 1.0
+    out_e, in_e = special[g.src], special[g.dst]
+    for s, d in zip(g.src[out_e].tolist(), g.dst[out_e].tolist()):
+        w_out[s][d] = w_out[s].get(d, 0.0) + 1.0
+    for s, d in zip(g.src[in_e].tolist(), g.dst[in_e].tolist()):
+        w_in[d][s] = w_in[d].get(s, 0.0) + 1.0
     nbrs_of = {v: sorted((w_in[v].keys() | w_out[v].keys()) - {v}) for v in cand}
     return _insert_greedily(cand, nbrs_of, w_in, w_out, vals)
 
@@ -198,11 +197,11 @@ def _pipeline(
             selection="id",
         )
     elif len(core_vids):
-        part_of, part_edges, part_vids = _partition_core(
+        src_part, dst_part, part_vids, part_edges = _partition_core(
             g, core_vids, core_src, core_dst, partitioner, target_size, seed
         )
         vals = conquer(part_vids, part_edges)
-        vals = _order_supers_and_offsets(part_of, vals, core_src, core_dst)
+        vals = _order_supers_and_offsets(part_vids, vals, src_part, dst_part)
     vals = _insert_remaining(g, vals, hd_mask, iso_mask)
     return _vals_to_positions(g.n, vals)
 
@@ -245,25 +244,33 @@ def _partition_core(
     target_size: int,
     seed: int,
 ):
-    """Partition the induced core subgraph; return part maps keyed by vid."""
-    sub = LocalGraph(  # core_vids is sorted, so searchsorted is the vid → index remap
-        n=len(core_vids),
-        src=np.searchsorted(core_vids, core_src),
-        dst=np.searchsorted(core_vids, core_dst),
-        w=np.ones(len(core_src)),
-        name=f"{g.name}-core",
+    """Partition the induced core subgraph.
+
+    Returns each core edge's source and destination part, each part's
+    vids (ascending) and each part's intra-part edges (in edge order).
+    """
+    # core_vids is sorted, so searchsorted is the vid → index remap
+    sub_src = np.searchsorted(core_vids, core_src)
+    sub_dst = np.searchsorted(core_vids, core_dst)
+    # the core graph is built inline and never bound to a name, so it and its
+    # adjacency lists are freed before the part maps below are built
+    parts = partition(
+        LocalGraph(len(core_vids), sub_src, sub_dst, np.ones(len(core_src)), f"{g.name}-core"),
+        partitioner,
+        target_size=target_size,
+        seed=seed,
     )
-    parts = partition(sub, partitioner, target_size=target_size, seed=seed)
-    part_of = dict(zip(core_vids.tolist(), parts.tolist()))
     part_vids: dict[int, list[int]] = {}
-    for v, p in part_of.items():
+    for v, p in zip(core_vids.tolist(), parts.tolist()):
         part_vids.setdefault(p, []).append(v)
+    src_part, dst_part = parts[sub_src], parts[sub_dst]
+    intra = src_part == dst_part
     part_edges: dict[int, list[tuple[int, int, float]]] = {}
-    for s, d in zip(core_src.tolist(), core_dst.tolist()):
-        ps, pd_ = part_of[s], part_of[d]
-        if ps == pd_:
-            part_edges.setdefault(ps, []).append((s, d, 1.0))
-    return part_of, part_edges, part_vids
+    for p, s, d in zip(
+        src_part[intra].tolist(), core_src[intra].tolist(), core_dst[intra].tolist()
+    ):
+        part_edges.setdefault(p, []).append((s, d, 1.0))
+    return src_part, dst_part, part_vids, part_edges
 
 
 def gograph_positions_spark(

@@ -136,6 +136,22 @@ def _rounds(step, x: np.ndarray, tol: float, max_rounds: int) -> RunResult:
     return RunResult(len(deltas), x, converged, deltas, sums)
 
 
+def _update(kind: str, x: np.ndarray, src_val, dst, param, base) -> None:
+    """Apply F(·) in place to the states ``x``: in-edge i carries
+    ``src_val[i]`` with ``param[i]`` into ``x[dst[i]]``; ``base`` is the
+    sum kind's additive term."""
+    if kind == "sum":
+        msg = src_val * param
+        msg[~np.isfinite(msg)] = 0.0
+        x[:] = base + np.bincount(dst, weights=msg, minlength=len(x))
+    elif kind == "min":
+        np.minimum.at(x, dst, src_val + param)
+    elif kind == "maxmin":
+        np.maximum.at(x, dst, np.minimum(src_val, param))
+    else:
+        raise ValueError(kind)
+
+
 def _level_step(prep: Prepared, eg: LocalGraph, positions: np.ndarray | None = None):
     """The vectorized round: Eq. 2 under ``positions``, Eq. 1 if ``None``.
 
@@ -148,18 +164,29 @@ def _level_step(prep: Prepared, eg: LocalGraph, positions: np.ndarray | None = N
     semantics, since a vertex's update never depends on same-level
     vertices. Each level is one numpy scatter over its in-edge slice,
     turning the O(|E|) Python loop into ~#levels numpy ops per round.
-    Eq. 1 is the case with no positive edge: every vertex shares position
-    0, so there is one level and every in-neighbor reads its previous-round
-    value.
+    Eq. 1 (``positions=None``) is the case with no positive edge: there is
+    one level and every in-neighbor reads its previous-round value, so the
+    round runs in vid order without the level relabel.
     """
     n = eg.n
-    pos = np.zeros(n, dtype=np.int64) if positions is None else positions
-    positive = pos[eg.src] < pos[eg.dst]
+    kind = prep.kind
+    fixed_vid = np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))
+    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
+    positive = None if positions is None else positions[eg.src] < positions[eg.dst]
+    if positive is None or not positive.any():
+        # one level, so vid order is level order
+        def one_level(x_prev: np.ndarray) -> np.ndarray:
+            x = x_prev.copy()
+            _update(kind, x, x_prev[eg.src], eg.dst, prep.param, prep.base)
+            x[fixed_vid] = fixed_val
+            return x
+
+        return one_level
 
     # level(v) over the positive-edge DAG: positive edges in destination
     # position order, so each source's level is final before it is read
     p_src, p_dst = eg.src[positive], eg.dst[positive]
-    by_dst = np.argsort(pos[p_dst], kind="stable")
+    by_dst = np.argsort(positions[p_dst], kind="stable")
     level_of = [0] * n
     for u, v in zip(p_src[by_dst].tolist(), p_dst[by_dst].tolist()):
         if level_of[u] >= level_of[v]:
@@ -181,9 +208,7 @@ def _level_step(prep: Prepared, eg: LocalGraph, positions: np.ndarray | None = N
     e_dst = (rank[eg.dst] - v_bounds[dst_level])[edge_order]  # offset within its level
     e_param = prep.param[edge_order]
     base = prep.base[by_level]
-    fixed_idx = rank[np.fromiter(prep.fixed.keys(), dtype=np.int64, count=len(prep.fixed))]
-    fixed_val = np.fromiter(prep.fixed.values(), dtype=np.float64, count=len(prep.fixed))
-    kind = prep.kind
+    fixed_idx = rank[fixed_vid]
 
     def step(x_prev: np.ndarray) -> np.ndarray:
         x_lvl = x_prev[by_level]
@@ -192,19 +217,10 @@ def _level_step(prep: Prepared, eg: LocalGraph, positions: np.ndarray | None = N
         for L in range(n_levels):
             lo, hi = e_bounds[L], e_bounds[L + 1]
             vlo, vhi = v_bounds[L], v_bounds[L + 1]
-            src_val = buf[e_read[lo:hi]]
-            d = e_dst[lo:hi]
-            x_l = x[vlo:vhi]
-            if kind == "sum":
-                msg = src_val * e_param[lo:hi]
-                msg[~np.isfinite(msg)] = 0.0
-                x_l[:] = base[vlo:vhi] + np.bincount(d, weights=msg, minlength=vhi - vlo)
-            elif kind == "min":
-                np.minimum.at(x_l, d, src_val + e_param[lo:hi])
-            elif kind == "maxmin":
-                np.maximum.at(x_l, d, np.minimum(src_val, e_param[lo:hi]))
-            else:
-                raise ValueError(kind)
+            _update(
+                kind, x[vlo:vhi], buf[e_read[lo:hi]], e_dst[lo:hi], e_param[lo:hi],
+                base[vlo:vhi],
+            )
             # re-clamp before any later level reads these values
             x[fixed_idx] = fixed_val
         out = np.empty(n)

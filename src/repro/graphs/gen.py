@@ -226,7 +226,8 @@ def community_ba_graph(
     comm = rng.integers(0, n_comms, size=n).tolist()
     pools: list[list[int]] = [[] for _ in range(n_comms)]
     global_pool: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    srcs: list[int] = []
+    dsts: list[int] = []
     draws = _ScalarDraws(rng)
     for v in range(n):
         c = comm[v]
@@ -240,13 +241,14 @@ def community_ba_graph(
             if t != v:
                 targets.add(t)
         for t in targets:
-            pairs.append((v, t))
+            srcs.append(v)
+            dsts.append(t)
             pools[comm[t]].append(t)
             global_pool.append(t)
         pools[c].append(v)
         global_pool.append(v)
     draws.close()
-    arr = np.asarray(pairs, dtype=np.int64)
+    arr = np.stack((np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)), axis=1)
     if extra_frac > 0:
         k = int(len(arr) * extra_frac)
         a = rng.integers(0, n, size=k)

@@ -4,11 +4,11 @@ sequential reorder kernels, and the cache simulator.
 ``LocalGraph`` is a plain struct of numpy edge arrays; adjacency builders
 are cached. It is the format the generators produce and every numpy-path
 module (reorderers, partitioners, reference engine, cache simulator)
-consumes, together with the two kernels they share: ``bfs_order`` and
-``order_to_positions``. ``to_local`` collects a Spark edge frame
-(src, dst[, weight]) into one, for the Spark functions whose driver-side
-steps need the whole graph in memory, which is fine at reproduction scale
-(≤ ~100k edges).
+consumes, together with the kernels they share: ``group_lists``,
+``bfs_order`` and ``order_to_positions``. ``to_local`` collects a Spark
+edge frame (src, dst[, weight]) into one, for the Spark functions whose
+driver-side steps need the whole graph in memory, which is fine at
+reproduction scale (≤ ~100k edges).
 """
 from __future__ import annotations
 
@@ -62,18 +62,41 @@ class LocalGraph:
         return self._cache["outw"]
 
     def undirected_adj(self) -> list[list[int]]:
-        """``adj[v]`` = neighbors of v ignoring direction (with repeats deduped)."""
+        """``adj[v]`` = neighbors of v ignoring direction, ascending, each once.
+
+        A self-loop makes v its own neighbor once. This is the one
+        undirected adjacency builder: every partitioner and Rabbit read it.
+        """
         if "und_adj" not in self._cache:
-            adj: list[set[int]] = [set() for _ in range(self.n)]
-            for s, d in zip(self.src.tolist(), self.dst.tolist()):
-                adj[s].add(d)
-                adj[d].add(s)
-            self._cache["und_adj"] = [sorted(a) for a in adj]
+            n, src, dst = self.n, self.src, self.dst
+            # key v * n + u for each neighbor u of v, sorted and each once
+            keys = np.unique(np.concatenate((src * n + dst, dst * n + src)))
+            bounds = np.searchsorted(keys, np.arange(n + 1) * n)
+            keys %= n  # in place: each key becomes its neighbor u
+            self._cache["und_adj"] = _cut(bounds, keys)
         return self._cache["und_adj"]
 
     def highest_out_degree_vertex(self) -> int:
         """Canonical source vertex for SSSP/BFS/PHP (best propagation reach)."""
         return int(np.argmax(self.out_degree()))
+
+
+def group_lists(n: int, keys: np.ndarray, vids: np.ndarray) -> list[list[int]]:
+    """``out[k]`` = the ``vids[i]`` with ``keys[i] == k``, in array order.
+
+    Grouped with a stable argsort and cut at ``searchsorted`` bounds.
+    Every entry is the one Python int of its vertex id (``vids`` lie in
+    0..n-1), so the lists hold no int per edge of their own.
+    """
+    by_key = np.argsort(keys, kind="stable")
+    return _cut(np.searchsorted(keys[by_key], np.arange(n + 1)), vids[by_key])
+
+
+def _cut(bounds: np.ndarray, vids: np.ndarray) -> list[list[int]]:
+    """``[vids[bounds[k]:bounds[k + 1]] for k]`` as lists of shared ints."""
+    flat = np.arange(len(bounds) - 1).astype(object)[vids].tolist()
+    b = bounds.tolist()
+    return [flat[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
 
 
 def bfs_order(

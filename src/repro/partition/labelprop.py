@@ -25,7 +25,7 @@ def labelprop_communities(
     """
     rng = np.random.default_rng(seed)
     adj = g.undirected_adj()
-    labels = np.arange(g.n, dtype=np.int64)
+    labels = list(range(g.n))
     order = np.arange(g.n)
     for _ in range(iters):
         rng.shuffle(order)
@@ -35,14 +35,13 @@ def labelprop_communities(
                 continue
             counts: dict[int, int] = {}
             for u in adj[v]:
-                lu = int(labels[u])
+                lu = labels[u]
                 counts[lu] = counts.get(lu, 0) + 1
-            best = min(
-                counts.items(), key=lambda kv: (-kv[1], kv[0])
-            )[0]
+            top = max(counts.values())
+            best = min(lu for lu, c in counts.items() if c == top)
             if best != labels[v]:
                 labels[v] = best
                 changed += 1
         if changed == 0:
             break
-    return labels
+    return np.array(labels, dtype=np.int64)

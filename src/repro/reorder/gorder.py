@@ -17,17 +17,14 @@ import heapq
 
 import numpy as np
 
-from repro.graphs.local import LocalGraph, order_to_positions
+from repro.graphs.local import LocalGraph, group_lists, order_to_positions
 
 
 def gorder(g: LocalGraph, *, window: int = 5, hub_cap: int = 512) -> np.ndarray:
     """Positions (vid → ordinal) under Gorder's greedy window ordering."""
     n = g.n
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for s, d in zip(g.src.tolist(), g.dst.tolist()):
-        out_adj[s].append(d)
-        in_adj[d].append(s)
+    out_adj = group_lists(n, g.src, g.dst)  # each list in edge-array order
+    in_adj = group_lists(n, g.dst, g.src)
     outdeg = [len(a) for a in out_adj]
 
     score = [0.0] * n

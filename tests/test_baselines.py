@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.gen import community_ba_graph, dataset_graph
+from repro.graphs.local import group_lists
 from repro.reorder.api import METHODS, assert_permutation, compute_order
 from repro.reorder.baselines import degree_sort, hub_cluster, hub_sort
 
@@ -96,6 +97,22 @@ def test_gorder_window_groups_siblings():
     pos = compute_order(g, "gorder")
     sib_pos = np.sort(pos[1:])
     assert sib_pos[-1] - sib_pos[0] == 5  # contiguous block
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_gorder_adjacency_lists_in_edge_array_order(name):
+    """Gorder's out/in lists as it builds them, against a per-edge append loop."""
+    g = dataset_graph(name)
+    out_ref = [[] for _ in range(g.n)]
+    in_ref = [[] for _ in range(g.n)]
+    for s, d in zip(g.src.tolist(), g.dst.tolist()):
+        out_ref[s].append(d)
+        in_ref[d].append(s)
+    assert group_lists(g.n, g.src, g.dst) == out_ref
+    assert group_lists(g.n, g.dst, g.src) == in_ref
+    # unsorted keys, repeated pairs, a self-loop and an empty group
+    keys, vids = np.array([2, 0, 2, 2, 0]), np.array([1, 3, 0, 1, 0])
+    assert group_lists(4, keys, vids) == [[3, 0], [], [1, 0, 1], []]
 
 
 # sha256 of compute_order(dataset_graph(name), method).tobytes() (int64

@@ -9,7 +9,7 @@ from repro.graphs.gen import (
     dataset_graph,
     edges_to_spark,
 )
-from repro.graphs.local import to_local
+from repro.graphs.local import LocalGraph, to_local
 
 GRAPHS = sorted(DATASETS)
 
@@ -148,6 +148,39 @@ def test_local_graph_degree_helpers():
     assert g.in_degree().sum() == g.n_edges
     assert np.array_equal(g.degree(), g.in_degree() + g.out_degree())
     assert g.out_weight().sum() == pytest.approx(g.w.sum())
+
+
+def _undirected_adj_reference(g):
+    """The per-vertex set construction ``undirected_adj`` replaced."""
+    adj = [set() for _ in range(g.n)]
+    for s, d in zip(g.src.tolist(), g.dst.tolist()):
+        adj[s].add(d)
+        adj[d].add(s)
+    return [sorted(a) for a in adj]
+
+
+def _hand_graph():
+    # 0 has a self-loop, 1 ⇄ 2 is reciprocal, 3 → 1 is listed twice,
+    # 5 is isolated and 4 → 3 runs against id order
+    src = np.array([0, 1, 2, 3, 3, 4, 2])
+    dst = np.array([0, 2, 1, 1, 1, 3, 4])
+    return LocalGraph(n=6, src=src, dst=dst, w=np.ones(len(src)))
+
+
+def test_undirected_adj_on_hand_graph():
+    adj = _hand_graph().undirected_adj()
+    assert adj == [[0], [2, 3], [1, 4], [1, 4], [2, 3], []]
+    assert adj == _undirected_adj_reference(_hand_graph())
+
+
+def test_undirected_adj_matches_set_reference_on_bench_graph():
+    g = dataset_graph("CP")
+    adj = g.undirected_adj()
+    assert adj == _undirected_adj_reference(g)
+    assert all(type(u) is int for a in adj for u in a)
+    # one Python int per vertex id, shared by every list it appears in
+    ids = {u: id(u) for a in adj for u in a}
+    assert all(id(u) == ids[u] for a in adj for u in a)
 
 
 def test_degrees_via_duckdb_oracle(spark):

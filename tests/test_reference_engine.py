@@ -146,6 +146,22 @@ def test_fast_gs_matches_python_gs(algo, seed):
     assert np.allclose(r1.deltas, r2.deltas)
 
 
+@pytest.mark.parametrize("algo", sorted(set(ALGOS) - {"cc"}))  # cc symmetrizes the edges
+def test_gs_without_positive_edge_is_jacobi(algo):
+    """An order with no positive edge takes the one-level round: the
+    sequential sweep and Eq. 1 give the same rounds and states."""
+    g = ba_graph(120, 3, forward_frac=0.0, seed=1)  # every edge runs high → low id
+    pos = np.arange(g.n)
+    r1 = gauss_seidel(g, make_algo(algo), pos, impl="python", max_rounds=300)
+    r2 = gauss_seidel(g, make_algo(algo), pos, impl="fast", max_rounds=300)
+    r3 = jacobi(g, make_algo(algo), max_rounds=300)
+    assert r1.rounds == r2.rounds == r3.rounds
+    assert np.array_equal(r2.x, r3.x)
+    assert np.allclose(
+        np.nan_to_num(r1.x, posinf=1e30), np.nan_to_num(r2.x, posinf=1e30), atol=1e-12
+    )
+
+
 @pytest.mark.parametrize("algo", ["pagerank", "sssp", "bfs", "php"])
 def test_gs_never_more_rounds_than_jacobi(algo):
     """Monotone F ⇒ using fresher states cannot slow convergence."""

@@ -10,20 +10,20 @@ import numpy as np
 from repro.core.metric import metric_m_spark
 from repro.core.gograph import gograph_positions_spark
 from repro.engine.spark_async import run_async_spark
-from repro.engine.spark_sync import run_sync_spark
-from repro.experiments.common import require_converged
-from repro.graphs.gen import dataset_graph, edges_to_spark
+from repro.engine.spark_sync import MAX_ROUNDS, run_sync_spark
+from repro.experiments.common import SCALES, load_graph, require_converged
+from repro.graphs.gen import edges_to_spark
 from repro.session import get_session
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--scale", default="test", choices=["bench", "test"])
+    ap.add_argument("--scale", default="test", choices=list(SCALES))
     ap.add_argument("--graph", default="IC", help="dataset abbreviation (Table I)")
     ap.add_argument("--algo", default="bfs")
     ap.add_argument("--blocks", type=int, default=2)
     args = ap.parse_args()
     spark = get_session("gograph-pipeline")
-    g = dataset_graph(args.graph, scale={"bench": 1.0, "test": 0.1}[args.scale])
+    g = load_graph(args.graph, args.scale)
     edf = edges_to_spark(spark, g)
     pos_df = gograph_positions_spark(spark, edf, g.n)
     m = metric_m_spark(edf, pos_df)
@@ -31,15 +31,12 @@ if __name__ == "__main__":
     pos = (
         pos_df.toPandas().sort_values("vid")["pos"].to_numpy()
     )
-    cap = 300  # the Spark engines' default round cap
-    sync = require_converged(
-        run_sync_spark(spark, g, args.algo, max_rounds=cap), args.algo, cap
+    runs = (
+        run_sync_spark(spark, g, args.algo),
+        run_async_spark(spark, g, args.algo, pos, n_blocks=args.blocks),
     )
-    asy = require_converged(
-        run_async_spark(spark, g, args.algo, pos, n_blocks=args.blocks, max_rounds=cap),
-        args.algo,
-        cap,
-    )
+    # both runs stop at the engines' default round cap
+    sync, asy = (require_converged(r, args.algo, MAX_ROUNDS) for r in runs)
     print(f"{args.algo}: sync rounds={sync.rounds}  async+GoGraph rounds={asy.rounds}")
     assert np.allclose(
         np.nan_to_num(sync.x, posinf=1e30), np.nan_to_num(asy.x, posinf=1e30), atol=1e-4

@@ -14,11 +14,13 @@ Semantics:
   previous-round values — exactly Eq. 2.
 
 :func:`sweep` is that sequential loop, and the only one: the
-``impl="python"`` engine, :func:`per_round_time` and the Spark async
-engine's per-block step all call it. :func:`_level_step` is the one
-vectorized round, and Eq. 1 is its single-level case. :func:`_rounds` is
-the one round loop: ``jacobi``, ``fixpoint`` and both ``gauss_seidel``
-implementations run their rounds through it.
+``impl="python"`` engine, :func:`per_round_time` and the block step of
+both Spark engines (``spark_sync.run_blocks``: Eq. 2 per block, Eq. 1 as
+its all-blocks case read from round-start states) all call it.
+:func:`_level_step` is the one vectorized round, and Eq. 1 is its
+single-level case. :func:`_rounds` is the one round loop: ``jacobi``,
+``fixpoint`` and both ``gauss_seidel`` implementations run their rounds
+through it.
 
 A round is counted iff its max state change exceeds the algorithm's
 tolerance (the final detection sweep is not counted; DESIGN.md §4).
@@ -63,9 +65,10 @@ def _delta(a: np.ndarray, b: np.ndarray) -> float:
 def sweep(kind: str, order, in_adj, x, src, base, fixed) -> None:
     """One sequential application of F(·) over ``order``, updating ``x`` in place.
 
-    This is the one Eq. 2 loop: vertex v reads in-neighbour u from
-    ``src[u]``, so ``src is x`` lets earlier positions contribute their
-    this-round values (Eq. 2), while a round-start copy gives Eq. 1.
+    This is the one sequential loop of F(·): vertex v reads in-neighbour u
+    from ``src[u]``, so ``src is x`` lets earlier positions contribute
+    their this-round values (Eq. 2), while a round-start copy gives Eq. 1
+    (the Spark sync engine's block step passes ``dict(x)``).
     ``in_adj[v]`` is [(u, param)], ``base[v]`` the sum-kind additive term,
     and vertices in ``fixed`` keep their current value. Only ``x[u]`` reads
     and ``x[v] =`` writes are used, so lists and vid-keyed dicts both work.

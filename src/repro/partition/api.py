@@ -58,15 +58,18 @@ def cap_sizes(g: LocalGraph, labels: np.ndarray, target_size: int) -> np.ndarray
 def partition(
     g: LocalGraph, method: str, *, target_size: int = 256, seed: int = 0
 ) -> np.ndarray:
-    """Partition ``g`` with ``method`` ∈ PARTITIONERS; returns part ids."""
+    """Partition ``g`` with ``method`` ∈ PARTITIONERS; returns part ids.
+
+    ``seed`` sets the scan order of the community methods (rabbit, louvain).
+    """
     if method == "rabbit":
         return cap_sizes(g, labelprop_communities(g, seed=seed), target_size)
     if method == "louvain":
         return cap_sizes(g, louvain_communities(g, seed=seed), target_size)
     if method == "metis":
-        return metis_like_parts(g, target_size=target_size, seed=seed)
+        return metis_like_parts(g, target_size=target_size)
     if method == "fennel":
-        return fennel_parts(g, target_size=target_size, seed=seed)
+        return fennel_parts(g, target_size=target_size)
     raise ValueError(f"unknown partitioner {method!r}")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from repro.graphs.local import LocalGraph
 
 
-def fennel_parts(g: LocalGraph, *, target_size: int, seed: int = 0) -> np.ndarray:
+def fennel_parts(g: LocalGraph, *, target_size: int) -> np.ndarray:
     """Stream-in-ID-order Fennel assignment into ⌈n/target_size⌉ parts."""
     n = g.n
     k = max(1, -(-n // max(1, target_size)))

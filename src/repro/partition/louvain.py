@@ -18,9 +18,9 @@ def louvain_communities(
     """Community labels via modularity-gain local moves (one Louvain level)."""
     rng = np.random.default_rng(seed)
     adj = g.undirected_adj()
-    deg = np.array([len(a) for a in adj], dtype=np.float64)
-    two_m = max(deg.sum(), 1.0)
-    labels = np.arange(g.n, dtype=np.int64)
+    deg = [float(len(a)) for a in adj]
+    two_m = max(sum(deg), 1.0)
+    labels = list(range(g.n))
     comm_deg = deg.copy()  # Σ degrees per community (labels start singleton)
     order = np.arange(g.n)
     for _ in range(iters):
@@ -29,11 +29,11 @@ def louvain_communities(
         for v in order.tolist():
             if not adj[v]:
                 continue
-            lv = int(labels[v])
+            lv = labels[v]
             # edges from v into each neighboring community
             k_in: dict[int, float] = {}
             for u in adj[v]:
-                lu = int(labels[u])
+                lu = labels[u]
                 k_in[lu] = k_in.get(lu, 0.0) + 1.0
             comm_deg[lv] -= deg[v]
             best_l, best_gain = lv, k_in.get(lv, 0.0) - comm_deg[lv] * deg[v] / two_m
@@ -49,4 +49,4 @@ def louvain_communities(
                 moved += 1
         if moved == 0:
             break
-    return labels
+    return np.array(labels, dtype=np.int64)

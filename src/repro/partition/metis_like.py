@@ -13,7 +13,7 @@ import numpy as np
 from repro.graphs.local import LocalGraph, bfs_order, order_to_positions
 
 
-def metis_like_parts(g: LocalGraph, *, target_size: int, seed: int = 0) -> np.ndarray:
+def metis_like_parts(g: LocalGraph, *, target_size: int) -> np.ndarray:
     """Balanced parts of ~``target_size`` via BFS chunking.
 
     The undirected BFS covers every component, starting each new one from

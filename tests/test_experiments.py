@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.experiments import common
@@ -78,6 +79,28 @@ def test_run_job_rejects_unknown_name():
     r = _run_job("table3", "--scale", "test")
     assert r.returncode != 0
     assert "table3" in r.stderr
+
+
+def test_fig5_6_discussion_reads_depths_from_the_rounds():
+    """EXPERIMENTS.md's Fig 5/6 prose names the BFS/SSSP cells where GoGraph
+    takes more rounds than Default, with each depth as rounds − 1."""
+    sys.path.insert(0, str(ROOT / "jobs"))
+    try:
+        from make_experiments_md import more_rounds_than_default
+    finally:
+        sys.path.remove(str(ROOT / "jobs"))
+    rows = [
+        ("IC", "bfs", 4, 5), ("IC", "sssp", 7, 6), ("IC", "pagerank", 45, 50)
+    ]
+    df = pd.DataFrame(
+        [(g, a, m, r) for g, a, d, gg in rows for m, r in (("default", d), ("gograph", gg))],
+        columns=["graph", "algo", "method", "rounds"],
+    )
+    text = more_rounds_than_default(df).replace("\n", " ")
+    assert "3 → 4 (IC BFS)" in text
+    assert "SSSP)" not in text and "PAGERANK" not in text
+    better = df.assign(rounds=np.where(df["method"] == "gograph", 1, df["rounds"]))
+    assert "no more BFS or SSSP rounds" in more_rounds_than_default(better)
 
 
 def test_table1_covers_all_paper_datasets():

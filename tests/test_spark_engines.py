@@ -14,7 +14,7 @@ from repro.core.gograph import gograph_order
 from repro.engine.algorithms import make_algo
 from repro.engine.reference import gauss_seidel, jacobi
 from repro.engine.spark_async import run_async_spark
-from repro.engine.spark_sync import run_sync_spark
+from repro.engine.spark_sync import MAX_ROUNDS, run_blocks, run_sync_spark
 from repro.graphs.gen import ba_graph, dataset_graph
 from repro.reorder.api import compute_order
 from tests.test_reference_engine import negative_depth
@@ -67,11 +67,14 @@ def test_async_capped_rounds_parity_pagerank(spark, tiny):
     assert _close(got.x, ref.x)
 
 
-def test_async_block_count_invariance(spark, tiny):
-    """Eq. 2 semantics do not depend on the dataflow block granularity."""
+@pytest.mark.parametrize("eq2", [False, True], ids=["eq1", "eq2"])
+def test_async_block_count_invariance(spark, tiny, eq2):
+    """Neither Eq. 1 nor Eq. 2 depends on the dataflow block granularity."""
     pos = compute_order(tiny, "gograph")
-    r1 = run_async_spark(spark, tiny, "bfs", pos, n_blocks=1)
-    r2 = run_async_spark(spark, tiny, "bfs", pos, n_blocks=4)
+    r1, r2 = (
+        run_blocks(spark, tiny, "bfs", pos, n, eq2=eq2, source=None, max_rounds=MAX_ROUNDS)
+        for n in (1, 4)
+    )
     assert r1.rounds == r2.rounds
     assert _close(r1.x, r2.x)
 
@@ -130,4 +133,4 @@ def test_bfs_parity_and_job_counts_on_ic(spark):
         assert got.deltas == ref.deltas
         assert np.array_equal(got.x, ref.x)
     assert asyn.rounds == 1 + negative_depth(g, bfs, pos, g.highest_out_degree_vertex())
-    assert (sync_jobs, async_jobs) == (76, 63)
+    assert (sync_jobs, async_jobs) == (66, 63)
